@@ -17,7 +17,7 @@ from .fourier import OutOfScopeError
 from .engine import (ConnectionDescriptor, ContradictionError, INF,
                      descriptor_from_json, descriptor_to_json,
                      op_fourier, op_middle_convolution, op_twist, parse_script,
-                     render_location, rigidity_index, run_script)
+                     render_location, rigidity_from_ends, run_script)
 from . import classify
 
 
@@ -57,8 +57,12 @@ def _load(path: str) -> ConnectionDescriptor:
 
 def _check_report(c: ConnectionDescriptor) -> dict:
     points = {}
+    ends = []
+    checks = []
     for loc, ft in c.points:
         end = ft.end()
+        ends.append(end)
+        checks.append(ft.checks())
         points[render_location(loc)] = {
             "type": render_formal_type(ft),
             "slopes": {str(s): d for s, d in sorted(ft.slopes().items())},
@@ -67,16 +71,14 @@ def _check_report(c: ConnectionDescriptor) -> dict:
             "end_soln": end.soln_dim(),
         }
     inf_ft = c.inf_type()
-    self_dual = all(ft.checks()["self_dual"] for _, ft in c.points)
-    det_trivial = all(ft.checks()["det_trivial"] for _, ft in c.points)
     mono = inf_ft.formal_monodromy().eigenvalue_multiset()
     pattern = classify.g2_pattern_check(mono) if len(mono) == 7 else None
     return {
         "rank": c.rank,
         "points": points,
-        "rig": rigidity_index(c),
-        "self_dual": self_dual,
-        "det_trivial": det_trivial,
+        "rig": rigidity_from_ends(c.rank, ends),
+        "self_dual": all(ch["self_dual"] for ch in checks),
+        "det_trivial": all(ch["det_trivial"] for ch in checks),
         "torus_dim": inf_ft.exponential_torus_dim(),
         "g2_pattern": pattern,
     }
@@ -127,8 +129,14 @@ def cmd_replay(args) -> int:
     except OutOfScopeError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return 3
+    labels = ["start"] + [s.op for s in steps]
+    if args.trace and args.json:
+        # JSON lines, one record per step; the last holds the final descriptor
+        for i, (label, d) in enumerate(zip(labels, trace)):
+            print(json.dumps({"step": i, "op": label, "rank": d.rank,
+                              "descriptor": descriptor_to_json(d)}, sort_keys=True))
+        return 0
     if args.trace:
-        labels = ["start"] + [s.op for s in steps]
         for label, d in zip(labels, trace):
             print(f"--- {label} (rank {d.rank})")
             for loc, ft in d.points:

@@ -6,18 +6,27 @@ tail phi is kept mod regular terms, as a map {pole order j >= 1 -> Scalar}.
 
 Canonical form: ramification coefficient 1 (normalized by substituting a
 canonical p-th root) and the lexicographically minimal representative of
-the zeta_p-orbit of the tail.  Isomorphism testing, duals, determinants,
+the zeta_p-orbit of the tail.
+
+Invariant: a module whose ``normal`` flag is set is in canonical form, and
+``normalize`` returns it unchanged.  Only ``normalize`` sets the flag (and
+``FormalType.make`` on a merge of two normal members with the same tail);
+``ElementaryModule.make``, the parsers and every other constructor build
+raw modules.  The flag takes no part in equality or hashing, so a raw
+module and its equal normal form compare and hash equal.
+
+Isomorphism testing, duals, determinants,
 Hom decomposition (Sabbah), reduction to minimal form and Kummer pullback
 all live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (Scalar, Eigenvalue, ZERO, ONE,
+from .scalars import (Cyclotomic, Scalar, Eigenvalue, ZERO, ONE,
                       render_scalar, parse_scalar)
 from .jordan import JordanData, render_jordan, parse_jordan
 
@@ -41,6 +50,7 @@ class ElementaryModule:
     coeff: Scalar
     tail: tuple  # ((pole order j, Scalar coefficient), ...), j >= 1
     r: JordanData
+    normal: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
     def make(p: int, coeff: Scalar, tail, r: JordanData) -> "ElementaryModule":
@@ -72,8 +82,13 @@ class ElementaryModule:
     def normalize(self) -> "ElementaryModule":
         """Coefficient-1 form, reduced to minimal inner ramification, with
         the canonical zeta_p-orbit representative of the tail."""
-        e = self._coeff_one()._reduce()
-        return e._orbit_min()
+        if self.normal:
+            return self
+        e = self._coeff_one()._reduce()._orbit_min()
+        # the flag records a property of the value, which is why it may be
+        # set on an existing (possibly shared) instance
+        object.__setattr__(e, "normal", True)
+        return e
 
     def _coeff_one(self) -> "ElementaryModule":
         if self.coeff == ONE:
@@ -102,7 +117,8 @@ class ElementaryModule:
             return self
         best = None
         for k in range(self.p):
-            tail = {j: a * Scalar.zeta(self.p, (-j * k) % self.p) for j, a in self.tail}
+            tail = {j: a.times_unit(Cyclotomic.zeta(self.p, (-j * k) % self.p))
+                    for j, a in self.tail}
             key = tuple((-j, _pos_key(a)) for j, a in sorted(tail.items(), reverse=True))
             if best is None or key < best[0]:
                 best = (key, tail)
@@ -147,7 +163,7 @@ class ElementaryModule:
         for j in range(d):
             tail = {}
             for i, a in e.tail:
-                tail[i * kk] = a * Scalar.zeta(e.p, (-i * j) % e.p)
+                tail[i * kk] = a.times_unit(Cyclotomic.zeta(e.p, (-i * j) % e.p))
             out.append(ElementaryModule.make(pp, ONE, tail, e.r.pull(kk)).normalize())
         return out
 
@@ -212,8 +228,8 @@ def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
             jj = j * p2p
             # phi1((zeta w)^{p2'}): coefficient picks up zeta^(-j p2') with
             # zeta = e^(2 pi i k d / (p1 p2)), so the twist is e^(-2 pi i k j / p1)
-            tw = Scalar.zeta(a.p, (-k * j) % a.p)
-            tail[jj] = tail.get(jj, ZERO) - c * tw
+            tw = Cyclotomic.zeta(a.p, (-k * j) % a.p)
+            tail[jj] = tail.get(jj, ZERO) - c.times_unit(tw)
         tail = {j: c for j, c in tail.items() if not c.is_zero()}
         out.append(ElementaryModule.make(pw, ONE, tail, rr).normalize())
     return out

@@ -88,13 +88,15 @@ def render_location(loc) -> str:
 # -- invariants ---------------------------------------------------------------
 
 def rigidity_index(c: ConnectionDescriptor) -> int:
-    r = len(c.points)
-    h = c.rank
-    out = (2 - r) * h * h
-    for _, ft in c.points:
-        end = ft.end()
-        out -= end.irregularity()
-        out += end.soln_dim()
+    return rigidity_from_ends(c.rank, [ft.end() for _, ft in c.points])
+
+
+def rigidity_from_ends(rank: int, ends) -> int:
+    """(2 - r) rank^2 + sum over the r singular points of
+    dim Soln(End) - irr(End), given End of the formal type at each point."""
+    out = (2 - len(ends)) * rank * rank
+    for end in ends:
+        out += end.soln_dim() - end.irregularity()
     return out
 
 
@@ -382,11 +384,16 @@ def descriptor_to_json(c: ConnectionDescriptor) -> dict:
 
 
 def descriptor_from_json(d: dict) -> ConnectionDescriptor:
+    rank = int(d["rank"])
     pts = {}
     for loc_s, ft_d in d["points"].items():
         loc = INF if loc_s == INF else parse_scalar(loc_s)
-        pts[loc] = formal_type_from_json(ft_d)
-    return ConnectionDescriptor.make(pts, int(d["rank"]))
+        ft = formal_type_from_json(ft_d)
+        if ft.rank() != rank:
+            raise ValueError(f"formal type at {loc_s} has rank {ft.rank()}, "
+                             f"but the descriptor declares rank {rank}")
+        pts[loc] = ft
+    return ConnectionDescriptor.make(pts, rank)
 
 
 def load_descriptor(path: str) -> ConnectionDescriptor:

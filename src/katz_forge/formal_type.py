@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, Eigenvalue, ONE, render_scalar, parse_scalar
+from .scalars import Cyclotomic, Scalar, Eigenvalue, ONE, render_scalar, parse_scalar
 from .jordan import JordanData, render_jordan, parse_jordan
 from .elementary import (ElementaryModule, DetData, el_hom, el_tensor,
                          render_elementary, parse_elementary)
@@ -40,7 +40,10 @@ class FormalType:
                 continue
             key = (e.p, e.tail)
             if key in merged:
-                merged[key] = ElementaryModule.make(e.p, ONE, e.taild(), merged[key].r + e.r)
+                # joining regular parts keeps p and the tail, so the merged
+                # member is still in normal form
+                merged[key] = ElementaryModule(e.p, ONE, e.tail, merged[key].r + e.r,
+                                               normal=True)
             else:
                 merged[key] = e
         els = tuple(sorted(merged.values(), key=lambda e: e.sort_key()))
@@ -123,7 +126,7 @@ class FormalType:
             for i in range(e.p):
                 vec: dict = {}
                 for j, a in e.tail:
-                    tw = a * Scalar.zeta(e.p, (-j * i) % e.p)
+                    tw = a.times_unit(Cyclotomic.zeta(e.p, (-j * i) % e.p))
                     for key, val in _scalar_coords(tw, n).items():
                         vec[(j,) + key] = vec.get((j,) + key, Fraction(0)) + val
                 vectors.append(vec)

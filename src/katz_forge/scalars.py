@@ -618,14 +618,24 @@ def cyclotomic_root(c: Cyclotomic, p: int) -> Cyclotomic:
     return zz * Fraction(num, den)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, in integer arithmetic (Newton's method
+    from above)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _perfect_root(n: int, p: int):
     if n <= 0:
         return None
-    r = round(n ** (1.0 / p))
-    for cand in (r - 1, r, r + 1):
-        if cand > 0 and cand ** p == n:
-            return cand
-    return None
+    r = _iroot(n, p)
+    return r if r ** p == n else None
 
 
 def _torsion_to_cyclotomic(t: Fraction) -> Cyclotomic:
@@ -759,6 +769,12 @@ class Scalar:
         num = poly_mul(num, carry_num)
         den = poly_mul(den, carry_den)
         return Scalar.make(num, den, rad)
+
+    def times_unit(self, u: Cyclotomic) -> "Scalar":
+        """self * u for a root of unity u, without the gcd of ``make``: a
+        unit leaves num and den coprime, den monic and the monomials of
+        num in place, so the product is already canonical."""
+        return Scalar(tuple((m, c * u) for m, c in self.num), self.den, self.rad)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
@@ -914,18 +930,65 @@ def _poly_radical_root(a: dict, p: int):
     return out, rad
 
 
+# Trial division stops at this bound; every integer below its square is
+# factored completely by it.
+_TRIAL_LIMIT = 1 << 17
+# The Miller-Rabin bases 2..41 decide primality exactly below this bound
+# (Sorenson and Webster, 2017).
+_MR_EXACT_BELOW = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41 below _MR_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factor(n: int) -> dict:
+    """Prime factorization of |n|, exact and bounded in time.
+
+    Trial division runs up to _TRIAL_LIMIT.  The cofactor left over has no
+    prime factor below that limit; it is accepted when it is a prime, or a
+    perfect power of a prime, proven by deterministic Miller-Rabin (exact
+    below _MR_EXACT_BELOW).  Any other cofactor raises IrrationalRootError:
+    it cannot be factored here, so no canonical radical can be formed.
+    """
     n = abs(n)
     out: dict = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_LIMIT:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
-    if n > 1:
+        d += 1 if d == 2 else 2
+    if n <= 1:
+        return out
+    if d * d > n:
         out[n] = out.get(n, 0) + 1
-    return out
+        return out
+    k = 1
+    while _TRIAL_LIMIT ** k < n:
+        r = _iroot(n, k)
+        if r ** k == n and r < _MR_EXACT_BELOW and _is_prime(r):
+            out[r] = out.get(r, 0) + k
+            return out
+        k += 1
+    raise IrrationalRootError(
+        f"cannot factor {n}: no prime factor below {_TRIAL_LIMIT} and not "
+        f"a provable prime power")
 
 
 ZERO = Scalar.make({}, poly_const(ONE_C))

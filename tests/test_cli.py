@@ -48,6 +48,17 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", str(p))
         assert code == 2
 
+    def test_declared_rank_must_match_points(self, tmp_path, capsys):
+        bad = {"rank": 7, "points": {
+            "0": {"regular": [["-1", 2]], "irregular": []},
+            "inf": {"regular": [["-1", 3]], "irregular": []}}}
+        p = tmp_path / "rank.json"
+        p.write_text(json.dumps(bad))
+        code, out, err = invoke(capsys, "check", str(p))
+        assert code == 2
+        assert "rank 2" in err and "rank 7" in err
+        assert out == ""
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "check", "/nonexistent/x.json")
         assert code == 2
@@ -60,6 +71,17 @@ class TestReplay:
         assert code == 0
         assert out.count("---") == 6  # start + five steps
         assert "(J(3), J(3), 1)" in out
+
+    def test_trace_json_lines(self, capsys):
+        args = ("replay", golden_path("e2.script"), golden_path("l2.json"))
+        code, out, _ = invoke(capsys, *args, "--trace", "--json")
+        assert code == 0
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [r["step"] for r in recs] == list(range(len(recs)))
+        assert recs[0]["op"] == "start" and len(recs) > 1
+        assert all(r["rank"] == r["descriptor"]["rank"] for r in recs)
+        code, final, _ = invoke(capsys, *args, "--json")
+        assert recs[-1]["descriptor"] == json.loads(final)
 
     def test_e4_final(self, capsys):
         code, out, _ = invoke(capsys, "replay", golden_path("e4.script"),

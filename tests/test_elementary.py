@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import (Scalar, Sym, Eigenvalue, ONE,
-                                IrrationalRootError)
+from katz_forge.scalars import (Cyclotomic, Scalar, Sym, Eigenvalue, ONE,
+                                IrrationalRootError, parse_scalar)
 from katz_forge.jordan import JordanData, parse_jordan
+from katz_forge.formal_type import FormalType
 from katz_forge.elementary import (ElementaryModule, El, el_normalize,
                                    el_dual, el_det, el_iso_eq, el_reduce,
                                    el_pullback, el_hom,
@@ -218,3 +220,74 @@ def test_det_matches_formal_monodromy_determinant():
             prod = prod * eig.pow(size)
         if not d.tail:
             assert d.eig == prod, render_elementary(e)
+
+
+# -- the normal-form invariant --------------------------------------------------
+
+_TAIL_POOL = [A1, A2, -A1, A1 + A2, R(Fraction(3, 2)) * A1, Scalar.zeta(3) * A1,
+              Scalar.zeta(4, 3) * A2, Scalar.zeta(6, 5) * (A1 - A2), A1 ** 2 / A2,
+              R(5) * Scalar.zeta(5, 2)]
+_COEFF_POOL = [ONE, R(-1), R(4), Scalar.zeta(3), A1 ** 2]
+_R_POOL = [J("(1)"), LL, J("(-1)"), J("(m, zeta(3))"),
+           JordanData.make([(Eigenvalue.sym("l"), 2)])]
+
+
+@st.composite
+def _modules(draw):
+    p = draw(st.integers(1, 6))
+    js = draw(st.lists(st.integers(1, 4), max_size=2, unique=True))
+    tail = {j: draw(st.sampled_from(_TAIL_POOL)) for j in js}
+    return ElementaryModule.make(p, draw(st.sampled_from(_COEFF_POOL)), tail,
+                                 draw(st.sampled_from(_R_POOL)))
+
+
+def _raw_copy(e):
+    return ElementaryModule.make(e.p, e.coeff, e.taild(), e.r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modules())
+def test_normalize_sets_flag_and_is_idempotent(e):
+    n = e.normalize()
+    assert n.normal
+    assert n.normalize() is n
+    raw = _raw_copy(n)
+    assert not raw.normal
+    assert raw == n and hash(raw) == hash(n)
+    assert raw.normalize() == n
+    assert _raw_copy(e).normalize() == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_modules(), st.integers(0, 5))
+def test_iso_eq_is_equality_of_normal_forms(e, k):
+    # a zeta_p rotation of the tail is an isomorphic module
+    z = {j: a.times_unit(Cyclotomic.zeta(e.p, j * k % e.p)) for j, a in e.tail}
+    rot = ElementaryModule.make(e.p, ONE, z, e.r)
+    e1 = ElementaryModule.make(e.p, ONE, e.taild(), e.r)
+    assert e1.iso_eq(rot)
+    assert e1.normalize() == rot.normalize()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_modules(), _modules())
+def test_iso_eq_matches_normal_forms_on_pairs(e1, e2):
+    assert e1.iso_eq(e2) == (e1.normalize() == e2.normalize()) == e2.iso_eq(e1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TAIL_POOL + _COEFF_POOL + [R(0), A1.root(2), parse_scalar("2*a1^(3/2)*6^(1/2)")]),
+       st.integers(1, 12), st.integers(0, 11))
+def test_times_unit_is_multiplication_by_zeta(a, n, k):
+    assert a.times_unit(Cyclotomic.zeta(n, k)) == a * Scalar.zeta(n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_modules(), st.sampled_from(_R_POOL))
+def test_formal_type_members_are_normal(e, r2):
+    # the second member shares the first one's tail, so make merges them
+    other = ElementaryModule.make(e.p, e.coeff, e.taild(), r2)
+    ft = FormalType.make(JordanData.zero(), [e, other])
+    for m in ft.irregular:
+        assert m.normal
+        assert _raw_copy(m).normalize() == m

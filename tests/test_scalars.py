@@ -7,7 +7,8 @@ from katz_forge.scalars import (Cyclotomic, Scalar, Sym, Eigenvalue,
                                 IrrationalRootError, IrrationalSumError,
                                 parse_scalar, render_scalar,
                                 parse_eigenvalue, render_eigenvalue,
-                                scalar_arith, scalar_root, eigenvalue_ops)
+                                scalar_arith, scalar_root, eigenvalue_ops,
+                                cyclotomic_root)
 
 A1, A2 = Sym("a1"), Sym("a2")
 HALF = Scalar.rational(Fraction(1, 2))
@@ -97,6 +98,29 @@ class TestScalarRoot:
     def test_irrational_poly(self):
         with pytest.raises(IrrationalRootError):
             scalar_root(A1 + A2, 2)
+
+    def test_large_prime_radical_is_fast_and_exact(self):
+        # 10^18 + 3 is prime: trial division alone would take minutes
+        r = parse_scalar("1000000000000000003^(1/2)")
+        assert r ** 2 == R(10 ** 18 + 3)
+        assert render_scalar(r) == "1*1000000000000000003^(1/2)"
+
+    def test_prime_power_beyond_trial_division(self):
+        assert R(1000003 ** 2).root(2) == R(1000003)
+        assert (R(1000003 ** 3).root(2)) ** 2 == R(1000003 ** 3)
+
+    def test_unfactorable_radicand_raises(self):
+        # a product of two primes above the trial-division bound
+        with pytest.raises(IrrationalRootError):
+            R(1000003 * 1000033).root(2)
+        with pytest.raises(IrrationalRootError):
+            parse_scalar("(10^40+1)^(1/2)")
+
+    def test_root_above_float_range(self):
+        big = Fraction(7 ** 800, 3 ** 400)  # about 1e485
+        assert (cyclotomic_root(Cyclotomic.from_rational(big), 4)
+                == Cyclotomic.from_rational(Fraction(7 ** 200, 3 ** 100)))
+        assert R(big).root(4) == R(Fraction(7 ** 200, 3 ** 100))
 
     def test_e4_tail_lineage(self):
         # a_{k+1} = ((k+1)/k) a_k (k/a_k)^(1/(k+1)) starting at a1^6/6^6
