@@ -254,15 +254,17 @@ def cmd_pullback(args) -> int:
                 print(f"  {k}: {v}")
         return 0 if rep["ok"] else 1
     c = _load(args.descriptor)
-    out = classify.kummer_pullback_descriptor(c, args.k)
+    try:
+        out = classify.kummer_pullback_descriptor(c, args.k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _print_descriptor(out, args.json)
     return 0
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="katz-forge")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for the randomized property-test harness")
     sub = ap.add_subparsers(dest="cmd")
 
     p = sub.add_parser("check")

@@ -58,6 +58,8 @@ class ElementaryModule:
             tail = _tail_pack(tail)
         if coeff.is_zero():
             raise ValueError("ramification coefficient must be nonzero")
+        if not r.rank():
+            raise ValueError("elementary module needs a regular part R of rank >= 1")
         return ElementaryModule(int(p), coeff, tail, r)
 
     def taild(self) -> dict:
@@ -290,7 +292,8 @@ def render_elementary(e: ElementaryModule) -> str:
 
 def parse_elementary(text: str) -> ElementaryModule:
     text = text.strip()
-    assert text.startswith("El(") and text.endswith(")")
+    if not (text.startswith("El(") and text.endswith(")")):
+        raise ValueError(f"elementary module must read El(...): {text!r}")
     body = text[3:-1]
     depth = 0
     args = []
@@ -306,7 +309,8 @@ def parse_elementary(text: str) -> ElementaryModule:
             depth -= 1
         cur += ch
     args.append(cur)
-    assert len(args) == 3, f"El(...) needs 3 arguments: {text!r}"
+    if len(args) != 3:
+        raise ValueError(f"El(...) needs 3 arguments, got {len(args)}: {text!r}")
     ram, tail_s, r_s = (x.strip() for x in args)
     coeff = ONE
     if "u" in ram:

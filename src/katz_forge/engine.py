@@ -49,7 +49,8 @@ class ConnectionDescriptor:
             items.append((loc, ft))
         items.sort(key=lambda t: (1, ()) if t[0] == INF else (0, t[0].sort_key()))
         locs = [l for l, _ in items]
-        assert len(set(locs)) == len(locs), "duplicate singular locations"
+        if len(set(locs)) != len(locs):
+            raise ValueError("duplicate singular locations")
         return ConnectionDescriptor(int(rank), tuple(items))
 
     def point(self, loc) -> FormalType:
@@ -385,9 +386,13 @@ def descriptor_to_json(c: ConnectionDescriptor) -> dict:
 
 def descriptor_from_json(d: dict) -> ConnectionDescriptor:
     rank = int(d["rank"])
-    pts = {}
+    pts, keys = {}, {}
     for loc_s, ft_d in d["points"].items():
         loc = INF if loc_s == INF else parse_scalar(loc_s)
+        if loc in keys:
+            raise ValueError(f"locations {keys[loc]!r} and {loc_s!r} are the same "
+                             f"point {render_location(loc)}")
+        keys[loc] = loc_s
         ft = formal_type_from_json(ft_d)
         if ft.rank() != rank:
             raise ValueError(f"formal type at {loc_s} has rank {ft.rank()}, "

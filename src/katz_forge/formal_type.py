@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import Cyclotomic, Scalar, Eigenvalue, ONE, render_scalar, parse_scalar
 from .jordan import JordanData, render_jordan, parse_jordan
@@ -117,10 +118,10 @@ class FormalType:
         independent coordinates."""
         n = 1
         for e in self.irregular:
-            n = _lcm(n, e.p)
+            n = lcm(n, e.p)
             for _, a in e.tail:
                 for cyc in a.numd().values():
-                    n = _lcm(n, cyc.order)
+                    n = lcm(n, cyc.order)
         vectors = []
         for e in self.irregular:
             for i in range(e.p):
@@ -172,11 +173,6 @@ def _scalar_coords(s: Scalar, order: int) -> dict:
             if co:
                 out[(s.rad, s.den, mono, k)] = co
     return out
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
 
 
 def _rank_of_vectors(vectors) -> int:

@@ -84,12 +84,6 @@ def lft_zero_to_inf(e: ElementaryModule) -> ElementaryModule:
     return sabbah_transform_raw(e).normalize()
 
 
-def lft_regular_to_inf(j: JordanData) -> JordanData:
-    """Transform of a regular module given by its vanishing-cycle data: a
-    regular payload at infinity with the same monodromy."""
-    return j
-
-
 def lft_shifted(content, s: Scalar):
     """F^(s,infty): the slot contribution at infinity of the content at the
     finite point s.  `content` is vanishing JordanData (regular part) or an

@@ -23,7 +23,9 @@ class JordanData:
     def make(blocks) -> "JordanData":
         bl = tuple(sorted(((e, int(s)) for e, s in blocks),
                           key=lambda t: (t[0].sort_key(), -t[1])))
-        assert all(s >= 1 for _, s in bl)
+        for _, s in bl:
+            if s < 1:
+                raise ValueError(f"Jordan block size must be at least 1, got {s}")
         return JordanData(bl)
 
     @staticmethod

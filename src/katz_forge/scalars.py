@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 class IrrationalRootError(ValueError):
@@ -135,6 +136,66 @@ def _subfield_basis(n: int, m: int) -> tuple:
     return tuple(_zeta_power(n, step * k) for k in range(_euler_phi(m)))
 
 
+@lru_cache(maxsize=None)
+def _subfield_projection(n: int, m: int) -> tuple:
+    """(checks, reads): how to read coordinates x in Q(zeta_n) as ones in
+    Q(zeta_m), m | n, each row a tuple of (index i, coefficient c).
+
+    The rows of ``reads`` form a left inverse of the embedding of Q(zeta_m)
+    (the columns of ``_subfield_basis``) that uses only the first linearly
+    independent coordinates of Q(zeta_n): y[j] = sum(c * x[i]).  x lies in
+    Q(zeta_m) iff embedding y gives x back.  On those coordinates it does
+    by construction; ``checks`` holds a pair (r, row) for each other
+    coordinate r, and x lies in the subfield iff x[r] == sum(c * x[i]) for
+    all of them.  Rows with fewest terms come first, as most elements fail
+    at once."""
+    cols = _subfield_basis(n, m)
+    phi_m = len(cols)
+    left = [_solve_linear(cols, [Fraction(int(i == j)) for i in range(phi_m)])
+            for j in range(phi_m)]
+    support = sorted({i for row in left for i, c in enumerate(row) if c})
+    checks = []
+    for r in sorted(set(range(_euler_phi(n))) - set(support)):
+        row = ((i, sum(cols[j][r] * left[j][i] for j in range(phi_m))) for i in support)
+        checks.append((r, tuple((i, c) for i, c in row if c)))
+    checks.sort(key=lambda t: len(t[1]))
+    reads = tuple(tuple((i, row[i]) for i in support if row[i]) for row in left)
+    return tuple(checks), reads
+
+
+def _read_subfield(n: int, m: int, x):
+    """Coordinates in Q(zeta_m) of x given in Q(zeta_n), or None when x
+    does not lie in Q(zeta_m)."""
+    checks, reads = _subfield_projection(n, m)
+    for r, row in checks:
+        if x[r] != sum(c * x[i] for i, c in row):
+            return None
+    return [sum(c * x[i] for i, c in row) for row in reads]
+
+
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple:
+    return tuple(_factor(n))
+
+
+def _power_sum(n: int, terms) -> list:
+    """Dense coordinates in Q(zeta_n) of sum(c * zeta_n^e) over (e, c) in
+    terms, 0 <= e < n: an exponent below phi(n) is a basis index, only the
+    others need a row of ``_zeta_power``."""
+    phi = _euler_phi(n)
+    dense = [Fraction(0)] * phi
+    for e, c in terms:
+        if not c:
+            continue
+        if e < phi:
+            dense[e] += c
+        else:
+            for i, v in enumerate(_zeta_power(n, e)):
+                if v:
+                    dense[i] += c * v
+    return dense
+
+
 class Cyclotomic:
     """Element of a cyclotomic field in canonical form.
 
@@ -147,7 +208,7 @@ class Cyclotomic:
 
     def __init__(self, order: int, coords):
         self.order = order
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -156,7 +217,7 @@ class Cyclotomic:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        return Cyclotomic._make(n, list(_zeta_power(n, k)))
+        return _zeta(n, k % n)
 
     @staticmethod
     def _make(n: int, dense) -> "Cyclotomic":
@@ -165,34 +226,34 @@ class Cyclotomic:
 
     @staticmethod
     def _canonical(n: int, coords) -> "Cyclotomic":
-        if all(c == 0 for c in coords):
+        """The element with these coordinates in Q(zeta_n), at its minimal
+        order.  The orders m | n with the element in Q(zeta_m) are closed
+        under gcd, so descending through maximal subfields Q(zeta_{m/p})
+        while the element lies in one ends at the least of them."""
+        if not any(coords):
             return Cyclotomic(1, (Fraction(0),))
-        for m in sorted(d for d in range(1, n + 1) if n % d == 0):
-            if m == n:
-                break
-            cols = _subfield_basis(n, m)
-            rows = [[col[i] for col in cols] for i in range(_euler_phi(n))]
-            sol = _solve_linear(rows, list(coords))
-            if sol is not None:
-                return Cyclotomic(m, sol)
-        return Cyclotomic(n, coords)
+        m = n
+        while True:
+            for p in _prime_divisors(m):
+                sub = _read_subfield(m, m // p, coords)
+                if sub is not None:
+                    m, coords = m // p, sub
+                    break
+            else:
+                return Cyclotomic(m, coords)
 
-    def _lift(self, n: int) -> list:
-        """Dense coords of self inside Q(zeta_n) (self.order | n)."""
+    def _lift(self, n: int):
+        """Coords of self inside Q(zeta_n) (self.order | n)."""
+        if n == self.order:
+            return self.coords
         step = n // self.order
-        dense = [Fraction(0)] * _euler_phi(n)
-        for k, c in enumerate(self.coords):
-            if c:
-                zp = _zeta_power(n, step * k)
-                for i, v in enumerate(zp):
-                    dense[i] += c * v
-        return dense
+        return _power_sum(n, ((step * k, c) for k, c in enumerate(self.coords)))
 
     # -- arithmetic --------------------------------------------------------
     def _binop(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.from_rational(other)
-        n = _lcm(self.order, other.order)
+        n = lcm(self.order, other.order)
         return n, self._lift(n), other._lift(n)
 
     def __add__(self, other):
@@ -224,7 +285,7 @@ class Cyclotomic:
             raise ZeroDivisionError("cyclotomic inverse of zero")
         n = self.order
         phi = _euler_phi(n)
-        a = self._lift(n)
+        a = self.coords
         # columns of multiplication-by-a matrix
         cols = []
         for k in range(phi):
@@ -246,13 +307,8 @@ class Cyclotomic:
     def galois(self, j: int) -> "Cyclotomic":
         """Apply zeta -> zeta^j (j coprime to the order)."""
         n = self.order
-        dense = [Fraction(0)] * _euler_phi(n)
-        for k, c in enumerate(self.coords):
-            if c:
-                zp = _zeta_power(n, j * k)
-                for i, v in enumerate(zp):
-                    dense[i] += c * v
-        return Cyclotomic._canonical(n, dense)
+        return Cyclotomic._canonical(
+            n, _power_sum(n, ((j * k % n, c) for k, c in enumerate(self.coords))))
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -271,16 +327,17 @@ class Cyclotomic:
         None if self is not rational times a root of unity."""
         if self.is_zero():
             return None
-        n = self.order if self.order % 2 == 0 else 2 * self.order
-        for k in range(n):
-            z = Cyclotomic.zeta(n, k)
-            q = self * z.inverse()
-            if q.is_rational():
-                qv = q.rational_value()
-                t = Fraction(k, n)
-                if qv < 0:
-                    qv, t = -qv, (t + Fraction(1, 2)) % 1
-                return qv, t % 1
+        x = self.coords
+        i = next(i for i, c in enumerate(x) if c)
+        units = _roots_of_unity(self.order)
+        for k, z in enumerate(units):
+            if z[i]:
+                q = x[i] / z[i]
+                if all(c == q * v for c, v in zip(x, z)):
+                    t = Fraction(k, len(units))
+                    if q < 0:
+                        q, t = -q, (t + Fraction(1, 2)) % 1
+                    return q, t % 1
         return None
 
     def sort_key(self):
@@ -298,9 +355,18 @@ class Cyclotomic:
         return f"Cyclotomic({render_cyclotomic(self)})"
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
+@lru_cache(maxsize=None)
+def _zeta(n: int, k: int) -> Cyclotomic:
+    """zeta_n^k, 0 <= k < n, in canonical form."""
+    return Cyclotomic._canonical(n, list(_zeta_power(n, k)))
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(order: int) -> tuple:
+    """Coordinates in Q(zeta_order) of zeta_n^k for k < n, n = lcm(2, order):
+    every root of unity of that field, in the order of k."""
+    n = lcm(2, order)
+    return tuple(_zeta(n, k)._lift(order) for k in range(n))
 
 
 ONE_C = Cyclotomic.from_rational(1)
@@ -817,30 +883,6 @@ class Scalar:
             raise IrrationalRootError(f"{render_scalar(self)} has no canonical {p}-th root (got {render_scalar(check)})")
         return out
 
-    def subs_symbol(self, name: str, value: "Scalar") -> "Scalar":
-        """Substitute a formal parameter by a scalar (used by golden-table
-        specializations)."""
-        out = ZERO
-        for m, c in self.numd().items():
-            t = Scalar.from_cyclotomic(c)
-            for s, e in m:
-                t = t * ((value if s == name else Scalar.sym(s)) ** e)
-            out = out + t
-        outd = ZERO
-        for m, c in self.dend().items():
-            t = Scalar.from_cyclotomic(c)
-            for s, e in m:
-                t = t * ((value if s == name else Scalar.sym(s)) ** e)
-            outd = outd + t
-        res = out / outd
-        for b, e in self.rad:
-            kind, key = b
-            if kind == "sym" and key == name:
-                raise IrrationalRootError("cannot substitute under a radical")
-            base = Scalar.sym(key) if kind == "sym" else Scalar.rational(key)
-            res = res * _rad_scalar(b, e)
-        return res
-
     def sort_key(self):
         def poly_key(t):
             return tuple((m, c.sort_key()) for m, c in t)
@@ -848,10 +890,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({render_scalar(self)})"
-
-
-def _rad_scalar(base, e) -> Scalar:
-    return Scalar(Scalar._pack(poly_const(ONE_C)), Scalar._pack(poly_const(ONE_C)), _rad_canon(((base, e),)))
 
 
 def _rad_merge(r1, r2):

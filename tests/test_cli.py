@@ -170,6 +170,14 @@ class TestPullback:
         code, _, _ = invoke(capsys, "pullback")
         assert code == 2
 
+    def test_descriptor_off_gm(self, capsys):
+        # l1-l4 have finite singular points other than 0
+        for name in ("l1.json", "l2.json", "l3.json", "l4.json"):
+            code, out, err = invoke(capsys, "pullback", "2", golden_path(name))
+            assert code == 2
+            assert err.startswith("error: ") and "Gm" in err
+            assert out == ""
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys):

@@ -1,0 +1,103 @@
+"""Differential tests of the cyclotomic core against the reference copy in
+``reference_cyclotomic.py``.  Elements are drawn at random in one field
+Q(zeta_n), n <= 24, with small rational coordinates, and built in both
+implementations from the same data; every operation must give the same
+order and coordinates, and the order must be minimal."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+import reference_cyclotomic as ref
+from katz_forge.scalars import Cyclotomic, render_cyclotomic
+
+ORDERS = st.integers(1, 24)
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def elements(n: int):
+    """Dense coefficient lists d of length <= n, the element sum d[k] zeta_n^k.
+    Half are a rational times one root of unity, so that the
+    unit-times-rational split has something to find."""
+    def unit(k, q):
+        return [Fraction(0)] * k + [q]
+    return st.one_of(st.builds(unit, st.integers(0, n - 1), SMALL),
+                     st.lists(SMALL, min_size=1, max_size=n))
+
+
+def field(count: int):
+    """(n, [dense, ...]): count elements of one field Q(zeta_n)."""
+    return ORDERS.flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(elements(n), min_size=count, max_size=count)))
+
+
+def both(n: int, dense):
+    return Cyclotomic._make(n, dense), ref.Cyclotomic._make(n, dense)
+
+
+def same(new, old):
+    assert isinstance(new, Cyclotomic)
+    assert (new.order, new.coords) == (old.order, old.coords)
+    assert all(type(c) is Fraction for c in new.coords)
+
+
+def minimal(x):
+    """x lies in no maximal subfield of Q(zeta_order), by the reference
+    solver, and the order is never 2 mod 4."""
+    n = x.order
+    assert n % 4 != 2
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            rows = [list(r) for r in zip(*ref._subfield_basis(n, n // p))]
+            assert ref._solve_linear(rows, list(x.coords)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(field(2))
+def test_arithmetic_agrees(drawn):
+    n, (da, db) = drawn
+    (a, ra), (b, rb) = both(n, da), both(n, db)
+    same(a, ra)
+    minimal(a)
+    for new, old in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra)):
+        same(new, old)
+        minimal(new)
+    if not b.is_zero():
+        same(b.inverse(), rb.inverse())
+        same(a / b, ra / rb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(field(1), st.integers(1, 48))
+def test_galois_and_rendering_agree(drawn, j):
+    n, (da,) = drawn
+    a, ra = both(n, da)
+    if gcd(j, a.order) == 1:
+        same(a.galois(j), ra.galois(j))
+    assert a.as_unit_times_rational() == ra.as_unit_times_rational()
+    assert render_cyclotomic(a) == ref.render_cyclotomic(ra)
+    assert a.sort_key() == ra.sort_key()
+    assert a == Cyclotomic(ra.order, ra.coords)
+    assert hash(a) == hash((ra.order, ra.coords))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORDERS, st.integers(-50, 50))
+def test_zeta_agrees(n, k):
+    z = Cyclotomic.zeta(n, k)
+    same(z, ref.Cyclotomic.zeta(n, k))
+    minimal(z)
+    assert z is Cyclotomic.zeta(n, k % n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field(3))
+def test_field_axioms(drawn):
+    n, dense = drawn
+    a, b, c = (Cyclotomic._make(n, d) for d in dense)
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    if not b.is_zero():
+        assert (a / b) * b == a

@@ -1,0 +1,109 @@
+"""Malformed inputs map to a typed error, with or without ``python -O``.
+
+Every descriptor row must make ``check`` exit 2 with an ``error:`` line,
+in-process and in a ``python -O`` subprocess (where an ``assert`` would
+vanish).  The El(...) rows are not reachable from descriptor JSON, so they
+go straight to ``parse_elementary``, again in both modes."""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from katz_forge.cli import golden_path, main
+from katz_forge.elementary import parse_elementary
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+with open(golden_path("l1.json")) as fh:
+    L1 = json.load(fh)
+
+
+def _l1_with(key, point):
+    d = copy.deepcopy(L1)
+    d["points"][key] = point
+    return d
+
+
+DESCRIPTORS = {
+    # a regular block of size 0 next to a block that carries the rank
+    "jordan_block_size_0": _l1_with("0", {"regular": [["l^-1", 1], ["x", 0]],
+                                          "irregular": []}),
+    "jordan_block_size_negative": _l1_with("0", {"regular": [["l^-1", 1], ["x", -1]],
+                                                 "irregular": []}),
+    # an elementary summand of rank 0 adds nothing to the point's rank
+    "elementary_empty_R": _l1_with("inf", {"regular": [["-l", 1]], "irregular": [
+        {"p": 2, "c": "1", "phi": {"-1": "a1"}, "R": []}]}),
+    # "a1*a1" and "a1^2" parse to the same point
+    "same_point_twice": _l1_with("a1*a1", {"regular": [["-l", 1]], "irregular": []}),
+}
+
+ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
+              "El(2, a1, ())", "El(2, a1, (xJ(0)))"]
+
+
+def _typed_error(err: str) -> bool:
+    """One `error:` line whose reason, after the file name, is not empty."""
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and not lines[0].endswith(":")
+
+
+@pytest.fixture
+def files(tmp_path):
+    out = {}
+    for name, d in DESCRIPTORS.items():
+        out[name] = tmp_path / f"{name}.json"
+        out[name].write_text(json.dumps(d))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTORS))
+def test_check_exits_2(name, files, capsys):
+    code = main(["check", str(files[name])])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert _typed_error(out.err)
+
+
+def test_check_exits_2_under_O(files):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name, path in files.items():
+        res = subprocess.run([sys.executable, "-O", "-m", "katz_forge.cli", "check", str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 2, (name, res.stdout, res.stderr)
+        assert res.stdout == "", name
+        assert _typed_error(res.stderr), (name, res.stderr)
+
+
+def test_same_point_names_both_keys(files, capsys):
+    main(["check", str(files["same_point_twice"])])
+    err = capsys.readouterr().err
+    assert "'a1*a1'" in err and "'a1^2'" in err
+
+
+@pytest.mark.parametrize("text", ELEMENTARY)
+def test_parse_elementary_raises(text):
+    with pytest.raises(ValueError, match=".+"):
+        parse_elementary(text)
+
+
+def test_parse_elementary_raises_under_O():
+    code = ("import sys\n"
+            "from katz_forge.elementary import parse_elementary\n"
+            "for text in sys.argv[1:]:\n"
+            "    try:\n"
+            "        parse_elementary(text)\n"
+            "    except ValueError as exc:\n"
+            "        if not str(exc):\n"
+            "            print('empty message', text)\n"
+            "        continue\n"
+            "    print('accepted', text)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code] + ELEMENTARY,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ""
