@@ -11,10 +11,9 @@ formal monodromy, exponential torus dimension and exterior cubes.
 """
 
 from .scalars import (Cyclotomic, Scalar, Eigenvalue, Sym,
-                      IrrationalRootError, scalar_arith, scalar_root,
-                      parse_scalar, parse_eigenvalue)
+                      IrrationalRootError, parse_scalar, parse_eigenvalue)
 from .jordan import JordanData, parse_jordan
-from .elementary import ElementaryModule, El, el_hom, el_iso_eq, parse_elementary
+from .elementary import ElementaryModule, El, el_hom, parse_elementary
 from .formal_type import FormalType, parse_formal_type
 from .fourier import OutOfScopeError
 from .engine import (ConnectionDescriptor, ContradictionError, INF,
@@ -24,9 +23,9 @@ from .engine import (ConnectionDescriptor, ContradictionError, INF,
 
 __all__ = [
     "Cyclotomic", "Scalar", "Eigenvalue", "Sym", "IrrationalRootError",
-    "scalar_arith", "scalar_root", "parse_scalar", "parse_eigenvalue",
+    "parse_scalar", "parse_eigenvalue",
     "JordanData", "parse_jordan",
-    "ElementaryModule", "El", "el_hom", "el_iso_eq", "parse_elementary",
+    "ElementaryModule", "El", "el_hom", "parse_elementary",
     "FormalType", "parse_formal_type",
     "OutOfScopeError",
     "ConnectionDescriptor", "ContradictionError", "INF",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .scalars import (Cyclotomic, Scalar, Eigenvalue, ZERO, ONE,
-                      render_scalar, parse_scalar)
+                      render_scalar, parse_scalar, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 
 
@@ -241,32 +241,6 @@ def el_tensor(e1: ElementaryModule, e2: ElementaryModule) -> list:
     return el_hom(e1.dual(), e2)
 
 
-# operation wrappers --------------------------------------------------------
-
-def el_normalize(e: ElementaryModule) -> ElementaryModule:
-    return e.normalize()
-
-
-def el_dual(e: ElementaryModule) -> ElementaryModule:
-    return e.dual()
-
-
-def el_det(e: ElementaryModule) -> DetData:
-    return e.det()
-
-
-def el_iso_eq(e1: ElementaryModule, e2: ElementaryModule) -> bool:
-    return e1.iso_eq(e2)
-
-
-def el_reduce(e: ElementaryModule) -> ElementaryModule:
-    return e.normalize()
-
-
-def el_pullback(e: ElementaryModule, k: int) -> list:
-    return e.pullback(k)
-
-
 # rendering / parsing ----------------------------------------------------------
 
 def render_tail(tail) -> str:
@@ -294,21 +268,7 @@ def parse_elementary(text: str) -> ElementaryModule:
     text = text.strip()
     if not (text.startswith("El(") and text.endswith(")")):
         raise ValueError(f"elementary module must read El(...): {text!r}")
-    body = text[3:-1]
-    depth = 0
-    args = []
-    cur = ""
-    for ch in body:
-        if ch == "," and depth == 0:
-            args.append(cur)
-            cur = ""
-            continue
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        cur += ch
-    args.append(cur)
+    args = split_top(text[3:-1], ",")
     if len(args) != 3:
         raise ValueError(f"El(...) needs 3 arguments, got {len(args)}: {text!r}")
     ram, tail_s, r_s = (x.strip() for x in args)
@@ -322,7 +282,7 @@ def parse_elementary(text: str) -> ElementaryModule:
         p = int(ram)
     tail: dict = {}
     if tail_s not in ("0", ""):
-        for term in _split_top(tail_s, "+"):
+        for term in split_top(tail_s, "+"):
             term = term.strip()
             if "/u" in term:
                 num, _, upow = term.rpartition("/u")
@@ -334,21 +294,3 @@ def parse_elementary(text: str) -> ElementaryModule:
                 num = num[1:-1]
             tail[j] = tail.get(j, ZERO) + parse_scalar(num)
     return ElementaryModule.make(p, coeff, tail, parse_jordan(r_s))
-
-
-def _split_top(text: str, sep: str):
-    depth = 0
-    cur = ""
-    out = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            out.append(cur)
-            cur = ""
-            continue
-        cur += ch
-    out.append(cur)
-    return out

@@ -107,10 +107,11 @@ def euler_char_middle(c: ConnectionDescriptor, family: dict) -> int:
     r = len(c.points)
     rank = None
     out = 0
-    for loc, ft in family.items():
+    for ft in family.values():
         if rank is None:
             rank = ft.rank()
-        assert ft.rank() == rank, "family members must share a rank"
+        if ft.rank() != rank:
+            raise ValueError(f"family members must share a rank, got {rank} and {ft.rank()}")
         out -= ft.irregularity()
         out += ft.soln_dim()
     return (2 - r) * rank + out
@@ -224,37 +225,35 @@ def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
         if e.slope() < 1:
             e = epsilon_twist_inf(e)
         s, payload = lft_inf_to_s(e)
-        ft0 = van.setdefault(_key(s), [s, JordanData.zero(), []])
+        ft0 = van.setdefault(s.sort_key(), [s, JordanData.zero(), []])
         if isinstance(payload, JordanData):
             ft0[1] = ft0[1] + payload
         else:
             ft0[2].append(payload)
     if c.inf_type().regular.rank():
         s = Scalar.rational(0)
-        ft0 = van.setdefault(_key(s), [s, JordanData.zero(), []])
+        ft0 = van.setdefault(s.sort_key(), [s, JordanData.zero(), []])
         ft0[1] = ft0[1] + c.inf_type().regular
     pts = {}
     for _, (s, vreg, vels) in van.items():
-        el_rank = sum(e.rank() for e in vels)
-        if _nearby_rank_needed(vreg, el_rank) > h_new:
-            ft_putative = FormalType.make(vreg, vels)
-            raise ContradictionError(
-                f"rank mismatch: transform has generic rank {h_new} but the "
-                f"formal type at {render_scalar(s)} would need rank "
-                f"{_nearby_rank_needed(vreg, el_rank)}: vanishing data "
-                f"{render_formal_type(ft_putative)}")
-        nearby = nearby_from_vanishing(vreg, h_new - el_rank)
-        pts[s] = FormalType.make(nearby, vels)
+        pts[s] = _nearby_type(vreg, vels, h_new, lambda needed, vanishing: (
+            f"rank mismatch: transform has generic rank {h_new} but the "
+            f"formal type at {render_scalar(s)} would need rank "
+            f"{needed}: vanishing data {vanishing}"))
     pts[INF] = new_inf
     return ConnectionDescriptor.make(pts, h_new)
 
 
-def _nearby_rank_needed(vreg: JordanData, el_rank: int) -> int:
-    return sum((s + 1) if e.is_one() else s for e, s in vreg.blocks) + el_rank
-
-
-def _key(s: Scalar):
-    return s.sort_key()
+def _nearby_type(vreg: JordanData, vels, rank: int, report) -> FormalType:
+    """The formal type of generic rank `rank` at a finite point whose
+    vanishing data is vreg + vels.  When that data needs a larger rank,
+    raises ContradictionError(report(needed rank, rendered vanishing data))."""
+    el_rank = sum(e.rank() for e in vels)
+    nearby = nearby_from_vanishing(vreg, rank - el_rank)
+    needed = nearby.rank() + el_rank
+    if needed > rank:
+        raise ContradictionError(report(needed, render_formal_type(FormalType.make(vreg, vels))))
+    return FormalType.make(nearby, vels)
 
 
 def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> ConnectionDescriptor:
@@ -275,15 +274,9 @@ def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> Connectio
         vels = [ElementaryModule.make(e.p, ONE, e.taild(),
                                       e.r.scale(chi.pow(e.p + e.q()))).normalize()
                 for e in ft.irregular]
-        el_rank = sum(e.rank() for e in vels)
-        if _nearby_rank_needed(vreg, el_rank) > h_new:
-            raise ContradictionError(
-                f"rank {h_new} system forced to carry vanishing data "
-                f"{render_formal_type(FormalType.make(vreg, vels))} at "
-                f"{render_location(loc)} (needs rank >= "
-                f"{_nearby_rank_needed(vreg, el_rank)})")
-        nearby = nearby_from_vanishing(vreg, h_new - el_rank)
-        pts[loc] = FormalType.make(nearby, vels)
+        pts[loc] = _nearby_type(vreg, vels, h_new, lambda needed, vanishing: (
+            f"rank {h_new} system forced to carry vanishing data {vanishing} at "
+            f"{render_location(loc)} (needs rank >= {needed})"))
     pts[INF] = FormalType.regular_only(
         JordanData.make([(chi.inverse(), 1)] * h_new))
     return ConnectionDescriptor.make(pts, h_new)

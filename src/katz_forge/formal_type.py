@@ -9,8 +9,7 @@ Jordan-data regular part.
 This module computes every local invariant the classification consumes:
 rank/slope/irregularity bookkeeping, End via pairwise Hom, solution-space
 dimensions via centralizers, self-duality and determinant checks, formal
-monodromy, exponential-torus dimension, exterior cubes, and the nearby /
-vanishing-cycle local-data dictionaries.
+monodromy, exponential-torus dimension and exterior cubes.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import Cyclotomic, Scalar, Eigenvalue, ONE, render_scalar, parse_scalar
+from .scalars import (Cyclotomic, Scalar, Eigenvalue, ONE, render_scalar, parse_scalar,
+                      render_eigenvalue, parse_eigenvalue, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 from .elementary import (ElementaryModule, DetData, el_hom, el_tensor,
                          render_elementary, parse_elementary)
@@ -131,7 +131,8 @@ class FormalType:
                     for key, val in _scalar_coords(tw, n).items():
                         vec[(j,) + key] = vec.get((j,) + key, Fraction(0)) + val
                 vectors.append(vec)
-        return _rank_of_vectors(vectors)
+        keys = sorted({k for v in vectors for k in v})
+        return len(row_reduce([[v.get(k, Fraction(0)) for k in keys] for v in vectors]))
 
     def tensor(self, other: "FormalType") -> "FormalType":
         reg = self.regular.tensor(other.regular) if self.regular.rank() and other.regular.rank() else JordanData.zero()
@@ -173,28 +174,6 @@ def _scalar_coords(s: Scalar, order: int) -> dict:
             if co:
                 out[(s.rad, s.den, mono, k)] = co
     return out
-
-
-def _rank_of_vectors(vectors) -> int:
-    keys = sorted({k for v in vectors for k in v})
-    rows = [[v.get(k, Fraction(0)) for k in keys] for v in vectors]
-    rank = 0
-    ncols = len(keys)
-    col = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = pr[col]
-        rows[rank] = [x / inv for x in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 # -- exterior cube -------------------------------------------------------------
@@ -293,127 +272,6 @@ def _compositions(n: int, total: int):
             yield (first,) + rest
 
 
-# -- local data ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalData:
-    """Numerical nearby/vanishing data: maps (phi key, eigenvalue, level) ->
-    count; counts carry a factor p(phi), so they are divisible by the
-    ramification degree."""
-
-    kind: str  # "finite" | "infinite"
-    rank: int
-    nearby: tuple
-    vanishing: tuple
-
-    @staticmethod
-    def _pack(d: dict) -> tuple:
-        def phi_sort(phi):
-            tag, p, tail = phi
-            return (tag, p, tuple((j, a.sort_key()) for j, a in tail))
-
-        return tuple(sorted(((k, v) for k, v in d.items() if v),
-                            key=lambda t: (phi_sort(t[0][0]), t[0][1].sort_key(), t[0][2])))
-
-
-REG_KEY = ("reg", 1, ())
-
-
-def _el_key(e: ElementaryModule):
-    return ("el", e.p, e.tail)
-
-
-def ft_to_local(ft: FormalType, kind: str) -> LocalData:
-    nearby: dict = {}
-    for eig, size in ft.regular.blocks:
-        key = (REG_KEY, eig, size - 1)
-        nearby[key] = nearby.get(key, 0) + 1
-    for e in ft.irregular:
-        for eig, size in e.r.blocks:
-            key = (_el_key(e), eig, size - 1)
-            nearby[key] = nearby.get(key, 0) + e.p
-    vanishing = dict(nearby)
-    if kind == "finite":
-        out: dict = {}
-        for (phi, eig, l), c in vanishing.items():
-            if phi == REG_KEY and eig.is_one():
-                if l >= 1:
-                    out[(phi, eig, l - 1)] = out.get((phi, eig, l - 1), 0) + c
-            else:
-                out[(phi, eig, l)] = out.get((phi, eig, l), 0) + c
-        vanishing = out
-    return LocalData(kind, ft.rank(), LocalData._pack(nearby), LocalData._pack(vanishing))
-
-
-def local_to_ft(ld: LocalData) -> FormalType:
-    """Inverse of ft_to_local, reconstructing from the vanishing data at a
-    finite point (minimal extension) or the nearby data at infinity."""
-    src = dict(ld.vanishing if ld.kind == "finite" else ld.nearby)
-    if ld.kind == "finite":
-        shifted: dict = {}
-        for (phi, eig, l), c in src.items():
-            if c < 0:
-                raise ValueError("negative local-data count")
-            if phi == REG_KEY and eig.is_one():
-                shifted[(phi, eig, l + 1)] = c
-            else:
-                shifted[(phi, eig, l)] = c
-        src = shifted
-    reg_blocks = []
-    els: dict = {}
-    for (phi, eig, l), c in src.items():
-        if phi == REG_KEY:
-            reg_blocks.extend([(eig, l + 1)] * c)
-        else:
-            _, p, tail = phi
-            assert c % p == 0, "nearby count not divisible by ramification"
-            els.setdefault((p, tail), []).extend([(eig, l + 1)] * (c // p))
-    if ld.kind == "finite":
-        have = sum(s for _, s in reg_blocks) + sum(
-            p * sum(s for _, s in bl) for (p, _), bl in els.items())
-        pad = ld.rank - have
-        if pad < 0:
-            raise ValueError("local data exceeds rank")
-        reg_blocks.extend([(Eigenvalue.one(), 1)] * pad)
-    el_list = [ElementaryModule.make(p, ONE, dict(tail), JordanData.make(bl))
-               for (p, tail), bl in els.items()]
-    return FormalType.make(JordanData.make(reg_blocks), el_list)
-
-
-# operation wrappers -------------------------------------------------------------
-
-def ft_invariants(ft: FormalType) -> dict:
-    return {"rank": ft.rank(), "slopes": ft.slopes(), "irregularity": ft.irregularity()}
-
-
-def ft_end(ft: FormalType) -> FormalType:
-    return ft.end()
-
-
-def ft_soln_dim(ft: FormalType) -> int:
-    return ft.soln_dim()
-
-
-def ft_checks(ft: FormalType) -> dict:
-    return ft.checks()
-
-
-def ft_formal_monodromy(ft: FormalType) -> JordanData:
-    return ft.formal_monodromy()
-
-
-def ft_exponential_torus_dim(ft: FormalType) -> int:
-    return ft.exponential_torus_dim()
-
-
-def ft_exterior_cube(ft: FormalType) -> FormalType:
-    return ft.exterior_cube()
-
-
-def ft_local_data(ft: FormalType, kind: str) -> LocalData:
-    return ft_to_local(ft, kind)
-
-
 # rendering / JSON ------------------------------------------------------------------
 
 def render_formal_type(ft: FormalType) -> str:
@@ -425,18 +283,17 @@ def render_formal_type(ft: FormalType) -> str:
 
 def formal_type_to_json(ft: FormalType) -> dict:
     return {
-        "regular": [[_eig_str(e), s] for e, s in ft.regular.blocks],
+        "regular": [[render_eigenvalue(e), s] for e, s in ft.regular.blocks],
         "irregular": [
             {"p": e.p, "c": render_scalar(e.coeff),
              "phi": {str(-j): render_scalar(a) for j, a in e.tail},
-             "R": [[_eig_str(ei), s] for ei, s in e.r.blocks]}
+             "R": [[render_eigenvalue(ei), s] for ei, s in e.r.blocks]}
             for e in ft.irregular
         ],
     }
 
 
 def formal_type_from_json(d: dict) -> FormalType:
-    from .scalars import parse_eigenvalue
     reg = JordanData.make([(parse_eigenvalue(e), int(s)) for e, s in d.get("regular", [])])
     els = []
     for ed in d.get("irregular", []):
@@ -447,16 +304,11 @@ def formal_type_from_json(d: dict) -> FormalType:
     return FormalType.make(reg, els)
 
 
-def _eig_str(e: Eigenvalue) -> str:
-    from .scalars import render_eigenvalue
-    return render_eigenvalue(e)
-
-
 def parse_formal_type(text: str) -> FormalType:
     """Parse 'El(...) + El(...) + (jordan)' pretty form."""
     reg = JordanData.zero()
     els = []
-    for chunk in _split_plus(text):
+    for chunk in split_top(text, "+"):
         chunk = chunk.strip()
         if not chunk or chunk == "0":
             continue
@@ -465,21 +317,3 @@ def parse_formal_type(text: str) -> FormalType:
         else:
             reg = reg + parse_jordan(chunk)
     return FormalType.make(reg, els)
-
-
-def _split_plus(text: str):
-    depth = 0
-    cur = ""
-    out = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            out.append(cur)
-            cur = ""
-            continue
-        cur += ch
-    out.append(cur)
-    return out

@@ -45,15 +45,12 @@ def vanishing_data(j: JordanData) -> JordanData:
 
 
 def nearby_from_vanishing(j: JordanData, rank: int) -> JordanData:
-    """Inverse of vanishing_data given the ambient generic rank."""
-    out = []
-    for e, s in j.blocks:
-        out.append((e, s + 1) if e.is_one() else (e, s))
-    have = sum(s for _, s in out)
-    pad = rank - have
-    if pad < 0:
-        raise OutOfScopeError("vanishing data exceeds generic rank")
-    out.extend([(Eigenvalue.one(), 1)] * pad)
+    """Inverse of vanishing_data: eigenvalue-1 blocks gain one dimension,
+    and eigenvalue-1 blocks J(1) pad the result up to `rank`.  Data that
+    needs more than `rank` is returned unpadded, so the caller reads the
+    rank it needs from the result."""
+    out = [(e, s + 1) if e.is_one() else (e, s) for e, s in j.blocks]
+    out.extend([(Eigenvalue.one(), 1)] * max(0, rank - sum(s for _, s in out)))
     return JordanData.make(out)
 
 
@@ -105,7 +102,7 @@ def lft_shifted(content, s: Scalar):
 def epsilon_twist_inf(e: ElementaryModule) -> ElementaryModule:
     """Pullback along z -> -z of a piece of an infinity formal type: the
     upstairs substitution u -> gamma u with gamma^p = -1 multiplies the tail
-    coefficient at depth j by gamma^(-j) (canonical root chosen)."""
+    coefficient at pole order j by gamma^(-j) (canonical root chosen)."""
     e = e.normalize()
     gamma = Scalar.rational(-1).root(e.p)
     tail = {j: a / (gamma ** j) for j, a in e.tail}

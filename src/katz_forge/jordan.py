@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Eigenvalue, parse_eigenvalue, render_eigenvalue
+from .scalars import Eigenvalue, parse_eigenvalue, render_eigenvalue, split_top
 
 
 @dataclass(frozen=True)
@@ -167,40 +167,6 @@ def _character_to_blocks(counter: dict) -> JordanData:
     return JordanData.make(blocks)
 
 
-# operation wrappers ------------------------------------------------------
-
-def centralizer_dim(j: JordanData) -> int:
-    return j.centralizer_dim()
-
-
-def jordan_tensor(j1: JordanData, j2: JordanData) -> JordanData:
-    return j1.tensor(j2)
-
-
-def jordan_exterior(j: JordanData, k: int) -> JordanData:
-    return j.exterior(k)
-
-
-def jordan_push_pull(j: JordanData, p: int, direction: str) -> JordanData:
-    if direction == "push":
-        return j.push(p)
-    if direction == "pull":
-        return j.pull(p)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def jordan_aux(j: JordanData, op: str):
-    if op == "dual":
-        return j.dual()
-    if op == "det":
-        return JordanData.single(j.det(), 1)
-    if op == "invariants_dim":
-        return j.invariants_dim()
-    if op == "rank":
-        return j.rank()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # rendering / parsing -------------------------------------------------------
 
 def render_jordan(j: JordanData) -> str:
@@ -221,26 +187,10 @@ def parse_jordan(text: str) -> JordanData:
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     blocks = []
-    depth = 0
-    cur = ""
-    entries = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            entries.append(cur)
-            cur = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur += ch
-    if cur.strip():
-        entries.append(cur)
-    for ent in entries:
+    for ent in split_top(text, ","):
         ent = ent.strip()
-        if not ent:
-            continue
-        blocks.extend(_parse_jordan_entry(ent))
+        if ent:
+            blocks.extend(_parse_jordan_entry(ent))
     return JordanData.make(blocks)
 
 

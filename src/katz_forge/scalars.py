@@ -98,14 +98,17 @@ def _reduce_mod_phi(dense: list, n: int) -> list:
     return dense
 
 
-def _solve_linear(rows, rhs):
-    """Solve A x = b over Q; A given as list of rows. Returns None if
-    inconsistent, else one solution (free vars set to 0)."""
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
+def row_reduce(m) -> list:
+    """Bring the rows of m (lists of Fractions, changed in place) to reduced
+    row echelon form over Q.  Returns the pivot columns in order: row i has
+    its pivot 1 in column piv_cols[i], and the rows after the last pivot row
+    are zero, so len(piv_cols) is the rank."""
+    nrows, ncols = len(m), len(m[0]) if m else 0
     piv_cols = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -118,11 +121,17 @@ def _solve_linear(rows, rhs):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         piv_cols.append(c)
         r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][-1] != 0:
-            return None
+    return piv_cols
+
+
+def _solve_linear(rows, rhs):
+    """Solve A x = b over Q; A given as list of rows. Returns None if
+    inconsistent, else one solution (free vars set to 0)."""
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    ncols = len(m[0]) - 1
+    piv_cols = row_reduce(m)
+    if piv_cols and piv_cols[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
     for i, c in enumerate(piv_cols):
         x[c] = m[i][-1]
@@ -318,7 +327,8 @@ class Cyclotomic:
         return self.order == 1
 
     def rational_value(self) -> Fraction:
-        assert self.order == 1
+        if self.order != 1:
+            raise ValueError(f"{render_cyclotomic(self)} is not rational")
         return self.coords[0]
 
     def as_unit_times_rational(self):
@@ -1037,22 +1047,6 @@ def Sym(name: str) -> Scalar:
     return Scalar.sym(name)
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def scalar_root(a: Scalar, p: int) -> Scalar:
-    return a.root(p)
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue: torsion x free abelian word
 # ---------------------------------------------------------------------------
@@ -1113,18 +1107,6 @@ class Eigenvalue:
 
     def __repr__(self):
         return f"Eigenvalue({render_eigenvalue(self)})"
-
-
-def eigenvalue_ops(a: Eigenvalue, b=None, op: str = "mul", r=None):
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a.pow(r)
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1241,6 +1223,26 @@ def render_eigenvalue(e: Eigenvalue) -> str:
 # ---------------------------------------------------------------------------
 # parsing (shared expression grammar)
 # ---------------------------------------------------------------------------
+
+def split_top(text: str, sep: str) -> list:
+    """Split text at each sep outside brackets: ``(``/``[`` open a level
+    and ``)``/``]`` close one.  Pieces are not stripped; empty ones are kept."""
+    depth = 0
+    cur = ""
+    out = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            out.append(cur)
+            cur = ""
+            continue
+        cur += ch
+    out.append(cur)
+    return out
+
 
 class _Tok:
     def __init__(self, text: str):

@@ -8,9 +8,7 @@ from katz_forge.scalars import (Cyclotomic, Scalar, Sym, Eigenvalue, ONE,
                                 IrrationalRootError, parse_scalar)
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.formal_type import FormalType
-from katz_forge.elementary import (ElementaryModule, El, el_normalize,
-                                   el_dual, el_det, el_iso_eq, el_reduce,
-                                   el_pullback, el_hom,
+from katz_forge.elementary import (ElementaryModule, El, el_hom,
                                    render_elementary, parse_elementary)
 
 A1, A2 = Sym("a1"), Sym("a2")
@@ -26,23 +24,23 @@ class TestNormalize:
     def test_e1_scheme_row(self):
         # El((4/a1^2)u^2, a1^2/(2u), (l,l^-1)) is isomorphic to El(2, a1, (l,l^-1))
         e = ElementaryModule.make(2, R(4) / A1 ** 2, {1: A1 ** 2 / R(2)}, LL)
-        assert el_normalize(e) == el_normalize(El(2, A1, LL))
+        assert e.normalize() == El(2, A1, LL).normalize()
 
     def test_orbit_choice(self):
         # phi and phi . mu_{-1} give the same class at p = 2
-        assert el_normalize(El(2, -A1, LL)) == el_normalize(El(2, A1, LL))
+        assert El(2, -A1, LL).normalize() == El(2, A1, LL).normalize()
 
     def test_p1_trivial_orbit(self):
         e = El(1, A1, J("(m)"))
-        assert el_normalize(e) == e
+        assert e.normalize() == e
 
 
 class TestDual:
     def test_self_dual_pair(self):
-        assert el_iso_eq(el_dual(El(2, A1, LL)), El(2, A1, LL))
+        assert El(2, A1, LL).dual().iso_eq(El(2, A1, LL))
 
     def test_p3(self):
-        assert el_iso_eq(el_dual(El(3, A1, "(1)")), El(3, -A1, "(1)"))
+        assert El(3, A1, "(1)").dual().iso_eq(El(3, -A1, "(1)"))
 
     def test_involution_randomized(self):
         # acceptance: duality is an involution on 1000 randomized modules
@@ -59,28 +57,28 @@ class TestDual:
             for j in rng.sample([1, 2, 3], rng.randint(1, 2)):
                 tail[j] = rng.choice(coeffs)
             e = ElementaryModule.make(p, ONE, tail, r)
-            assert el_iso_eq(el_dual(el_dual(e)), e)
+            assert e.dual().dual().iso_eq(e)
 
     def test_det_of_dual(self):
         e = El(2, A1, J("(l)"))
-        d1 = el_det(el_dual(e))
-        d2 = el_det(e)
+        d1 = e.dual().det()
+        d2 = e.det()
         assert d1.eig == d2.eig.inverse()
         assert dict(d1.tail) == {j: -a for j, a in d2.tail}
 
 
 class TestDet:
     def test_rank2_minus_lambda(self):
-        d = el_det(El(2, A1, J("(l)")))
+        d = El(2, A1, J("(l)")).det()
         assert not d.tail
         assert d.eig == Eigenvalue.minus_one() * Eigenvalue.sym("l")
 
     def test_el6(self):
-        d = el_det(El(6, A1, "(1)"))
+        d = El(6, A1, "(1)").det()
         assert not d.tail and d.eig == Eigenvalue.minus_one()
 
     def test_p1_exponential(self):
-        d = el_det(El(1, A1, J("(m)")))
+        d = El(1, A1, J("(m)")).det()
         assert dict(d.tail) == {1: A1}
         assert d.eig == Eigenvalue.sym("m")
         assert not d.is_trivial()
@@ -90,41 +88,41 @@ class TestIsoEq:
     def test_zeta6_reduction(self):
         # zeta_6^5 a = -zeta_3^2 a, and multiplying by zeta_3 gives -a
         z65 = Scalar.zeta(6, 5)
-        assert el_iso_eq(El(6, A1, "(1)"), El(6, z65 * A1, "(1)"))
+        assert El(6, A1, "(1)").iso_eq(El(6, z65 * A1, "(1)"))
 
     def test_independent_symbols_differ(self):
-        assert not el_iso_eq(El(2, A1, "(1)"), El(2, A2, "(1)"))
+        assert not El(2, A1, "(1)").iso_eq(El(2, A2, "(1)"))
 
     def test_equivalence_relation(self):
         rng = random.Random(7)
         mods = [El(2, A1, LL), El(2, -A1, LL), ElementaryModule.make(
             2, R(4) / A1 ** 2, {1: A1 ** 2 / R(2)}, LL)]
         for e in mods:
-            assert el_iso_eq(e, e)
+            assert e.iso_eq(e)
         for a in mods:
             for b in mods:
-                assert el_iso_eq(a, b) == el_iso_eq(b, a)
+                assert a.iso_eq(b) == b.iso_eq(a)
                 for c in mods:
-                    if el_iso_eq(a, b) and el_iso_eq(b, c):
-                        assert el_iso_eq(a, c)
+                    if a.iso_eq(b) and b.iso_eq(c):
+                        assert a.iso_eq(c)
 
 
 class TestReduce:
     def test_paper_isomorphisms(self):
         r = J("(m)")
-        assert el_reduce(ElementaryModule.make(6, ONE, {3: A1}, r)) == \
-            el_normalize(ElementaryModule.make(2, ONE, {1: A1}, r.push(3)))
-        assert el_reduce(ElementaryModule.make(4, ONE, {2: A1}, r)) == \
-            el_normalize(ElementaryModule.make(2, ONE, {1: A1}, r.push(2)))
+        assert ElementaryModule.make(6, ONE, {3: A1}, r).normalize() == \
+            ElementaryModule.make(2, ONE, {1: A1}, r.push(3)).normalize()
+        assert ElementaryModule.make(4, ONE, {2: A1}, r).normalize() == \
+            ElementaryModule.make(2, ONE, {1: A1}, r.push(2)).normalize()
 
     def test_already_minimal(self):
-        e = el_normalize(El(2, A1, J("(m)")))
-        assert el_reduce(e) == e
+        e = El(2, A1, J("(m)")).normalize()
+        assert e.normalize() == e
 
     def test_preserves_rank_and_irregularity(self):
         r = J("(m, -1)")
         e = ElementaryModule.make(6, ONE, {3: A1}, r)
-        red = el_reduce(e)
+        red = e.normalize()
         assert red.rank() == e.rank()
         assert red.irregularity() == e.irregularity()
         assert red.slope() == e.slope()
@@ -168,25 +166,25 @@ class TestHom:
 
 class TestPullback:
     def test_kummer_split_2(self):
-        pb = el_pullback(El(6, A1, "(1)"), 2)
+        pb = El(6, A1, "(1)").pullback(2)
         assert len(pb) == 2
-        assert any(el_iso_eq(x, El(3, A1, "(1)")) for x in pb)
-        assert any(el_iso_eq(x, El(3, -A1, "(1)")) for x in pb)
+        assert any(x.iso_eq(El(3, A1, "(1)")) for x in pb)
+        assert any(x.iso_eq(El(3, -A1, "(1)")) for x in pb)
 
     def test_kummer_split_3(self):
-        pb = el_pullback(El(6, A1, "(1)"), 3)
+        pb = El(6, A1, "(1)").pullback(3)
         assert len(pb) == 3
         for t in [A1, Scalar.zeta(3) * A1, Scalar.zeta(3, 2) * A1]:
-            assert any(el_iso_eq(x, El(2, t, "(1)")) for x in pb)
+            assert any(x.iso_eq(El(2, t, "(1)")) for x in pb)
 
     def test_identity(self):
-        e = el_normalize(El(1, A1, "(m)"))
-        assert el_pullback(e, 1) == [e]
+        e = El(1, A1, "(m)").normalize()
+        assert e.pullback(1) == [e]
 
     def test_rank_and_irregularity_bookkeeping(self):
         for e in [El(6, A1, "(1)"), El(2, A1, LL), El(3, A1, "(m, 1)")]:
             for k in (1, 2, 3, 4, 6):
-                pb = el_pullback(e, k)
+                pb = e.pullback(k)
                 assert sum(x.rank() for x in pb) == e.rank()
                 assert sum(x.irregularity() for x in pb) == k * e.irregularity()
 
@@ -206,7 +204,7 @@ def test_coefficient_must_be_nonzero():
 
 def test_normalize_propagates_root_errors():
     with pytest.raises(IrrationalRootError):
-        el_normalize(ElementaryModule.make(2, A1 + A2, {1: A1}, J("(1)")))
+        ElementaryModule.make(2, A1 + A2, {1: A1}, J("(1)")).normalize()
 
 
 def test_det_matches_formal_monodromy_determinant():
@@ -214,7 +212,7 @@ def test_det_matches_formal_monodromy_determinant():
     # equal the product of the pushed formal-monodromy eigenvalues
     for e in [El(2, A1, J("(l)")), El(6, A1, "(1)"), El(3, A1, "(m)"),
               El(2, A1, LL), El(4, A2, "(x, y)")]:
-        d = el_det(e)
+        d = e.det()
         prod = Eigenvalue.one()
         for eig, size in e.r.push(e.p).blocks:
             prod = prod * eig.pow(size)

@@ -12,7 +12,7 @@ from katz_forge.jordan import parse_jordan
 from katz_forge.formal_type import FormalType, parse_formal_type
 from katz_forge.fourier import (OutOfScopeError, lft_zero_to_inf, lft_shifted,
                                 lft_inf_to_s)
-from katz_forge.elementary import El, ElementaryModule, el_iso_eq
+from katz_forge.elementary import El, ElementaryModule
 from katz_forge.engine import (ConnectionDescriptor, ContradictionError, INF,
                                op_twist, op_moebius, op_fourier,
                                op_middle_convolution, rigidity_index,
@@ -57,7 +57,7 @@ class TestLocalFourier:
         # El(u, (a1^2/4)/u, (-l,-l^-1)) transforms to El(2, a1, (l, l^-1))
         e = El(1, S("a1^2/4"), "(-l, -l^-1)")
         out = lft_zero_to_inf(e)
-        assert el_iso_eq(out, El(2, Sym("a1"), "(l, l^-1)"))
+        assert out.iso_eq(El(2, Sym("a1"), "(l, l^-1)"))
 
     def test_regular_entry_point_error(self):
         with pytest.raises(OutOfScopeError):
@@ -318,3 +318,47 @@ class TestMoreTransportIdentities:
             with pytest.raises(ContradictionError) as exc:
                 op_fourier(tw)
             assert "5" in exc.value.report and "7" in exc.value.report
+
+
+class TestContradictionReports:
+    """The reports `replay` and `check` print, pinned byte for byte."""
+
+    def test_r3_exclusion_report(self):
+        c = ConnectionDescriptor.make({
+            S("0"): reg("(-E4, E3)"), S("1"): reg("(J(2), J(2), E3)"),
+            INF: FT("El(2, a, (E2)) + (E3)")}, 7)
+        with pytest.raises(ContradictionError) as exc:
+            op_fourier(c)
+        assert exc.value.report == (
+            "rank mismatch: transform has generic rank 6 but the formal type "
+            "at 0 would need rank 8: vanishing data "
+            "El(1, -1/4*a^2, (-1, -1)) + (1, 1, 1)")
+
+    @pytest.mark.parametrize("zero", ["(-J(3), J(3), -1)",
+                                      "(iJ(2), -1*iJ(2), -E2, 1)",
+                                      "(x, -1, -x, 1, -x^-1, -1, x^-1)"])
+    def test_0_16_9_9_exclusion_report(self, zero):
+        c = ConnectionDescriptor.make({
+            S("0"): reg(zero), INF: FT("El(2, a, (-E2)) + (-E2, 1)")}, 7)
+        tw = op_twist(c, {S("0"): E("-1"), INF: E("-1")})
+        with pytest.raises(ContradictionError) as exc:
+            op_fourier(tw)
+        assert exc.value.report == (
+            "rank mismatch: transform has generic rank 5 but the formal type "
+            "at 0 would need rank 7: vanishing data "
+            "El(1, -1/4*a^2, (1, 1)) + (1, 1, -1)")
+
+    def test_rank_one_middle_convolution_report(self):
+        a = S("a")
+        c = ConnectionDescriptor.make({
+            S("0"): reg("(J(2), J(2), E3)"),
+            INF: FT("El(1, a, (l E2)) + El(1, -a, (l^-1 E2)) + "
+                    "El(1, 2*a, (m)) + El(1, -2*a, (m^-1)) + (1)")}, 7)
+        tw = op_twist(op_fourier(c), {
+            S("0"): E("1"), a: E("l^-1"), S("-a"): E("l"), S("2*a"): E("1"),
+            S("-2*a"): E("m"), INF: E("m^-1")})
+        with pytest.raises(ContradictionError) as exc:
+            op_middle_convolution(tw, E("m^-1"))
+        assert exc.value.report == (
+            "rank 1 system forced to carry vanishing data (1) at -2*a "
+            "(needs rank >= 2)")

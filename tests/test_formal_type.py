@@ -1,22 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from katz_forge.scalars import Sym, Eigenvalue, ONE
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.elementary import El, ElementaryModule
 from katz_forge.formal_type import (FormalType, parse_formal_type,
                                     render_formal_type, formal_type_to_json,
-                                    formal_type_from_json, ft_invariants,
-                                    ft_end, ft_soln_dim, ft_checks,
-                                    ft_formal_monodromy,
-                                    ft_exponential_torus_dim,
-                                    ft_exterior_cube, ft_local_data,
-                                    local_to_ft)
+                                    formal_type_from_json)
+from katz_forge.fourier import vanishing_data, nearby_from_vanishing
 
 J = parse_jordan
 FT = parse_formal_type
 A1, A2 = Sym("a1"), Sym("a2")
+SHIFT_EIGS = [Eigenvalue.one(), Eigenvalue.minus_one(),
+              Eigenvalue.of_torsion(Fraction(1, 3)),
+              Eigenvalue.of_torsion(Fraction(1, 4)),
+              Eigenvalue.of_torsion(Fraction(2, 5)), Eigenvalue.sym("x")]
 
 E1 = FT("El(2, a1, (l, l^-1)) + El(2, 2*a1, (1)) + (-1)")
 E2 = FT("El(2, a1, (1)) + El(2, a2, (1)) + El(2, a1+a2, (1)) + (-1)")
@@ -32,15 +33,14 @@ class TestInvariants:
         (E3, 7, 2, (Fraction(1, 3), 6)),
     ])
     def test_classification_types(self, ft, rank, irr, halfdim):
-        inv = ft_invariants(ft)
-        assert inv["rank"] == rank
-        assert inv["irregularity"] == irr
+        assert ft.rank() == rank
+        assert ft.irregularity() == irr
         slope, dim = halfdim
-        assert inv["slopes"][slope] == dim
+        assert ft.slopes()[slope] == dim
 
     def test_purely_regular(self):
         f = FormalType.regular_only(J("(J(3), J(3), 1)"))
-        assert ft_invariants(f)["irregularity"] == 0
+        assert f.irregularity() == 0
 
 
 class TestEnd:
@@ -50,46 +50,46 @@ class TestEnd:
         (E1, 19, 4), (E2, 21, 4), (E3, 14, 3), (E4, 7, 2),
     ])
     def test_classification_values(self, ft, end_irr, soln):
-        end = ft_end(ft)
+        end = ft.end()
         assert end.rank() == 49
         assert end.irregularity() == end_irr
-        assert ft_soln_dim(end) == soln
+        assert end.soln_dim() == soln
 
     def test_regular_centralizer(self):
         f = FormalType.regular_only(J("(J(3), J(3), 1)"))
-        assert ft_soln_dim(ft_end(f)) == 17
+        assert f.end().soln_dim() == 17
 
     def test_rank_one(self):
         f = FormalType.regular_only(J("(m)"))
-        end = ft_end(f)
+        end = f.end()
         assert end.rank() == 1 and end.irregularity() == 0
-        assert ft_soln_dim(end) == 1
+        assert end.soln_dim() == 1
 
     def test_end_irr_dual_invariance(self):
         for ft in (E1, E3):
-            assert ft_end(ft).irregularity() == ft_end(ft.dual()).irregularity()
+            assert ft.end().irregularity() == ft.dual().end().irregularity()
 
     def test_soln_lower_bound(self):
         # at least one invariant per irreducible summand
         for ft, nsummands in [(E1, 3), (E2, 4), (E3, 3), (E4, 2)]:
-            assert ft_soln_dim(ft_end(ft)) >= nsummands - 2  # regular part may merge
-            assert ft_soln_dim(ft_end(ft)) >= 2
+            assert ft.end().soln_dim() >= nsummands - 2  # regular part may merge
+            assert ft.end().soln_dim() >= 2
 
 
 class TestChecks:
     def test_classification_rows(self):
         for ft in (E1, E2, E3, E4):
-            ck = ft_checks(ft)
+            ck = ft.checks()
             assert ck["self_dual"] and ck["det_trivial"]
 
     def test_non_self_dual(self):
         f = FT("El(1, a1, (m))")
-        ck = ft_checks(f)
+        ck = f.checks()
         assert not ck["self_dual"] and not ck["det_trivial"]
 
     def test_regular_self_dual(self):
         f = FormalType.regular_only(J("(xE2, x^-1E2, E3)"))
-        ck = ft_checks(f)
+        ck = f.checks()
         assert ck["self_dual"] and ck["det_trivial"]
 
 
@@ -97,53 +97,53 @@ class TestFormalMonodromy:
     def test_el2_pattern(self):
         # El(2, a, (E2)) + (J(2), 1) has formal monodromy (E2, -E2, J(2), 1)
         f = FormalType.make(J("(J(2), 1)"), [El(2, A1, "(E2)")])
-        fm = ft_formal_monodromy(f)
+        fm = f.formal_monodromy()
         assert fm == J("(E2, -E2, J(2), 1)")
 
     def test_el2_minus_pattern(self):
         f = FormalType.make(J("(J(2), 1)"), [El(2, A1, "(-E2)")])
-        fm = ft_formal_monodromy(f)
+        fm = f.formal_monodromy()
         assert fm == J("(iE2, -1*iE2, J(2), 1)")
 
     def test_regular_identity(self):
         f = FormalType.regular_only(J("(J(3), x)"))
-        assert ft_formal_monodromy(f) == J("(J(3), x)")
+        assert f.formal_monodromy() == J("(J(3), x)")
 
 
 class TestTorus:
     def test_classification_rows(self):
-        assert ft_exponential_torus_dim(E1) == 1
-        assert ft_exponential_torus_dim(E2) == 2
-        assert ft_exponential_torus_dim(E3) == 2
-        assert ft_exponential_torus_dim(E4) == 2
+        assert E1.exponential_torus_dim() == 1
+        assert E2.exponential_torus_dim() == 2
+        assert E3.exponential_torus_dim() == 2
+        assert E4.exponential_torus_dim() == 2
 
     def test_p6_q3(self):
         f = FormalType.make(JordanData.zero(), [
             ElementaryModule.make(6, ONE, {3: Sym("b3"), 1: Sym("b1")}, J("(1)"))])
-        assert ft_exponential_torus_dim(f) == 3
+        assert f.exponential_torus_dim() == 3
 
     def test_p3_q3(self):
         full = FormalType.make(JordanData.zero(), [
             ElementaryModule.make(3, ONE, {3: Sym("b3"), 2: Sym("b2"), 1: Sym("b1")}, J("(1)"))])
-        assert ft_exponential_torus_dim(full) == 3
+        assert full.exponential_torus_dim() == 3
         no_mid = FormalType.make(JordanData.zero(), [
             ElementaryModule.make(3, ONE, {3: Sym("b3"), 1: Sym("b1")}, J("(1)"))])
-        assert ft_exponential_torus_dim(no_mid) == 3
+        assert no_mid.exponential_torus_dim() == 3
 
     def test_single_exponential(self):
         f = FT("El(1, a1, (m))")
-        assert ft_exponential_torus_dim(f) == 1
+        assert f.exponential_torus_dim() == 1
 
 
 class TestExteriorCube:
     def test_e2(self):
-        l3 = ft_exterior_cube(E2)
+        l3 = E2.exterior_cube()
         assert l3.rank() == 35
         assert l3.irregularity() == 15
         assert l3.regular.invariants_dim() == 4
 
     def test_e1(self):
-        l3 = ft_exterior_cube(E1)
+        l3 = E1.exterior_cube()
         assert l3.rank() == 35
         # independent check: of the 35 triples of exponential letters
         # {a, a, -a, -a, 2a, -2a, 0} exactly 7 have zero phase, so the
@@ -154,21 +154,21 @@ class TestExteriorCube:
         assert l3.regular.invariants_dim() >= 1
 
     def test_e3(self):
-        l3 = ft_exterior_cube(E3)
+        l3 = E3.exterior_cube()
         assert l3.rank() == 35
         assert l3.irregularity() == 10
         assert l3.regular.invariants_dim() >= 2
 
     def test_rank3_regular_det(self):
         f = FormalType.regular_only(J("(x, x^-1, 1)"))
-        l3 = ft_exterior_cube(f)
+        l3 = f.exterior_cube()
         assert l3.rank() == 1
         assert l3.regular == J("(1)")
 
     def test_unsupported_block(self):
         f = FormalType.make(JordanData.zero(), [El(2, A1, "(J(2))")])
         with pytest.raises(ValueError):
-            ft_exterior_cube(f)
+            f.exterior_cube()
 
     def test_finite_point_invariants(self):
         assert J("(J(3), J(3), 1)").exterior(3).invariants_dim() == 13
@@ -177,48 +177,37 @@ class TestExteriorCube:
 
 
 class TestLocalData:
-    def test_round_trips(self):
-        for ft in (E1, E4, FormalType.regular_only(J("(J(2), J(2), E3)"))):
-            for kind in ("finite", "infinite"):
-                ld = ft_local_data(ft, kind)
-                assert local_to_ft(ld) == ft
+    """Local data at a finite point under the minimal extension: the
+    vanishing data (vanishing_data) and the nearby data rebuilt from it
+    (nearby_from_vanishing)."""
 
     def test_minus_e4_e3_masses(self):
         # the two mu-masses entering h(F) = 4 + 2 in the r=3 exclusion:
-        # eigenvalue -1 at the (-E4, E3) point, eigenvalue 1 at the
+        # eigenvalue -1 with mass 4 at the (-E4, E3) point and no
+        # eigenvalue-1 part; eigenvalue 1 with mass 2 at the
         # (J(2), J(2), E3) point
-        ft0 = FormalType.regular_only(J("(-E4, E3)"))
-        ld0 = ft_local_data(ft0, "finite")
-        minus = Eigenvalue.minus_one()
-        one = Eigenvalue.one()
-        assert sum(c for (phi, e, l), c in ld0.vanishing if e == minus and l == 0) == 4
-        assert sum(c for (phi, e, l), c in ld0.vanishing if e == one) == 0
-        ft1 = FormalType.regular_only(J("(J(2), J(2), E3)"))
-        ld1 = ft_local_data(ft1, "finite")
-        assert sum(c for (phi, e, l), c in ld1.vanishing if e == one and l == 0) == 2
+        assert vanishing_data(J("(-E4, E3)")) == J("(-E4)")
+        assert vanishing_data(J("(J(2), J(2), E3)")) == J("(E2)")
 
     def test_finite_shift(self):
-        # nu(1, level 1) = 2 from the J(2) blocks shifts to mu(1, level 0)
-        ft = FormalType.regular_only(J("(J(2), J(2), E3)"))
-        ld = ft_local_data(ft, "finite")
-        one = Eigenvalue.one()
-        assert sum(c for (phi, e, l), c in ld.vanishing if e == one and l == 0) == 2
-        assert sum(c for (phi, e, l), c in ld.vanishing) == 2
-        assert sum(c for (phi, e, l), c in ld.nearby if e == one and l == 1) == 2
+        # the level-1 eigenvalue-1 blocks J(2), J(2) shift to level 0 and back
+        assert nearby_from_vanishing(J("(E2)"), 7) == J("(J(2), J(2), E3)")
 
-    def test_negative_count_error(self):
-        ld = ft_local_data(E4, "finite")
-        bad = type(ld)(ld.kind, ld.rank, ld.nearby,
-                       tuple((k, -v) for k, v in ld.vanishing))
-        with pytest.raises(ValueError):
-            local_to_ft(bad)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(SHIFT_EIGS), st.integers(1, 3)),
+                    max_size=6))
+    def test_round_trips(self, blocks):
+        j = JordanData.make(blocks)
+        v = vanishing_data(j)
+        assert v.rank() == j.rank() - j.invariants_dim()
+        assert nearby_from_vanishing(v, j.rank()) == j
 
 
 class TestTensorAndJson:
     def test_end_via_tensor_dual(self):
         t = E4.tensor(E4.dual())
         assert t.rank() == 49
-        assert t.irregularity() == ft_end(E4).irregularity()
+        assert t.irregularity() == E4.end().irregularity()
 
     def test_json_round_trip(self):
         for ft in (E1, E2, E3, E4):

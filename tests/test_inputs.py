@@ -3,7 +3,8 @@
 Every descriptor row must make ``check`` exit 2 with an ``error:`` line,
 in-process and in a ``python -O`` subprocess (where an ``assert`` would
 vanish).  The El(...) rows are not reachable from descriptor JSON, so they
-go straight to ``parse_elementary``, again in both modes."""
+go straight to ``parse_elementary``, again in both modes, and so do the
+library calls of ``CALLS``."""
 
 import copy
 import json
@@ -43,6 +44,21 @@ DESCRIPTORS = {
 
 ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
               "El(2, a1, ())", "El(2, a1, (xJ(0)))"]
+
+# library calls that must raise ValueError: each row is an expression over
+# the names of CALLS_SETUP
+CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, FormalType, "
+               "euler_char_middle, parse_jordan, parse_scalar\n"
+               "def reg(t):\n"
+               "    return FormalType.regular_only(parse_jordan(t))\n"
+               "KUMMER = ConnectionDescriptor.make("
+               "{parse_scalar('0'): reg('(m)'), 'inf': reg('(m^-1)')}, 1)\n")
+CALLS = {
+    # an auxiliary family whose members have ranks 1 and 2
+    "euler_char_middle_mixed_ranks":
+        "euler_char_middle(KUMMER, {parse_scalar('0'): reg('(1)'), 'inf': reg('(1, 1)')})",
+    "rational_value_of_zeta_3": "Cyclotomic.zeta(3).rational_value()",
+}
 
 
 def _typed_error(err: str) -> bool:
@@ -89,6 +105,33 @@ def test_same_point_names_both_keys(files, capsys):
 def test_parse_elementary_raises(text):
     with pytest.raises(ValueError, match=".+"):
         parse_elementary(text)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_call_raises(name):
+    scope: dict = {}
+    exec(CALLS_SETUP, scope)
+    with pytest.raises(ValueError, match=".+"):
+        eval(CALLS[name], scope)
+
+
+def test_call_raises_under_O():
+    code = (CALLS_SETUP +
+            "import sys\n"
+            "for name, expr in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    try:\n"
+            "        value = eval(expr)\n"
+            "    except ValueError as exc:\n"
+            "        if not str(exc):\n"
+            "            print('empty message', name)\n"
+            "        continue\n"
+            "    print('returned', name, value)\n")
+    args = [x for name in sorted(CALLS) for x in (name, CALLS[name])]
+    res = subprocess.run([sys.executable, "-O", "-c", code] + args,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ""
 
 
 def test_parse_elementary_raises_under_O():

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from katz_forge.scalars import Eigenvalue
-from katz_forge.jordan import (JordanData, parse_jordan, render_jordan,
-                               jordan_tensor, jordan_exterior,
-                               jordan_push_pull, jordan_aux)
+from katz_forge.jordan import JordanData, parse_jordan, render_jordan
 
 from oracle import (jordan_matrix, kronecker, jordan_structure,
                     jordan_data_value_multiset, exterior_matrix, eig_value,
@@ -51,7 +49,7 @@ class TestAux:
         assert r.centralizer_dim() == r.dual().centralizer_dim()
 
     def test_invariants(self):
-        assert jordan_aux(J("(J(3), J(3), 1)"), "invariants_dim") == 3
+        assert J("(J(3), J(3), 1)").invariants_dim() == 3
 
     def test_det_so7_row(self):
         d = J("(zJ(2), z^-1J(2), z^2, z^-2, 1)")
@@ -67,7 +65,7 @@ class TestAux:
 
 
 def _oracle_tensor_check(j1: JordanData, j2: JordanData):
-    got = jordan_tensor(j1, j2)
+    got = j1.tensor(j2)
     a = kronecker(jordan_matrix(j1), jordan_matrix(j2))
     values = sorted({eig_value(e1 * e2) for e1, _ in j1.blocks for e2, _ in j2.blocks},
                     key=lambda c: c.sort_key())
@@ -77,16 +75,16 @@ def _oracle_tensor_check(j1: JordanData, j2: JordanData):
 class TestTensorOracle:
     def test_spec_example(self):
         _oracle_tensor_check(JordanData.single(lam, 2), JordanData.single(lam.inverse(), 2))
-        t = jordan_tensor(JordanData.single(lam, 2), JordanData.single(lam.inverse(), 2))
+        t = JordanData.single(lam, 2).tensor(JordanData.single(lam.inverse(), 2))
         assert t == JordanData.make([(one, 3), (one, 1)])
 
     def test_unit(self):
         r = J("(xJ(2), -1)")
-        assert jordan_tensor(JordanData.identity(1), r) == r
+        assert JordanData.identity(1).tensor(r) == r
 
     def test_rank_one_twist(self):
-        t = jordan_tensor(JordanData.single(Eigenvalue.sym("x"), 3),
-                          JordanData.single(Eigenvalue.sym("y"), 1))
+        t = JordanData.single(Eigenvalue.sym("x"), 3).tensor(
+            JordanData.single(Eigenvalue.sym("y"), 1))
         assert t == JordanData.single(Eigenvalue.sym("x") * Eigenvalue.sym("y"), 3)
 
     def test_exhaustive_single_blocks(self):
@@ -118,19 +116,19 @@ class TestTensorOracle:
 class TestExteriorOracle:
     def test_spec_rank2(self):
         le2 = JordanData.make([(lam, 1), (lam, 1)])
-        assert jordan_exterior(le2, 2) == JordanData.single(lam.pow(2), 1)
+        assert le2.exterior(2) == JordanData.single(lam.pow(2), 1)
 
     def test_top_power_is_det(self):
         r3 = J("(x, x^-1, 1)")
-        assert jordan_exterior(r3, 3) == JordanData.single(one, 1)
+        assert r3.exterior(3) == JordanData.single(one, 1)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            jordan_exterior(J("(1, 1)"), 3)
+            J("(1, 1)").exterior(3)
 
     def test_lambda3_j7_oracle(self):
         jd = JordanData.single(one, 7)
-        got = jordan_exterior(jd, 3)
+        got = jd.exterior(3)
         assert got.rank() == 35
         a = exterior_matrix(jordan_matrix(jd), 3)
         assert jordan_structure(a, [C_ONE]) == jordan_data_value_multiset(got)
@@ -148,7 +146,7 @@ class TestExteriorOracle:
             a = jordan_matrix(jd)
             vals = sorted({eig_value(x) for x in _products(jd)}, key=lambda c: c.sort_key())
             for k in range(1, jd.rank() + 1):
-                got = jordan_exterior(jd, k)
+                got = jd.exterior(k)
                 ax = exterior_matrix(a, k)
                 assert jordan_structure(ax, vals) == jordan_data_value_multiset(got), (jd, k)
 
@@ -156,7 +154,7 @@ class TestExteriorOracle:
         from math import comb
         jd = J("(xJ(2), -1J(2), J(3))")
         for k in range(jd.rank() + 1):
-            assert jordan_exterior(jd, k).rank() == comb(jd.rank(), k)
+            assert jd.exterior(k).rank() == comb(jd.rank(), k)
 
 
 def _products(jd):
@@ -174,24 +172,24 @@ def _products(jd):
 
 class TestPushPull:
     def test_pull_keeps_shape(self):
-        assert jordan_push_pull(JordanData.single(lam, 2), 3, "pull") == \
+        assert JordanData.single(lam, 2).pull(3) == \
             JordanData.single(lam.pow(3), 2)
 
     def test_push_p2_permutation_oracle(self):
         # push of the trivial rank-1 along degree 2 is the regular rep of
         # Z/2: eigenvalues {1, -1} (the P_2 permutation matrix)
-        got = jordan_push_pull(JordanData.single(one, 1), 2, "push")
+        got = JordanData.single(one, 1).push(2)
         assert got == JordanData.make([(one, 1), (minus, 1)])
 
     def test_push_symbolic(self):
-        got = jordan_push_pull(JordanData.single(lam, 1), 2, "push")
+        got = JordanData.single(lam, 1).push(2)
         r = lam.pow(Fraction(1, 2))
         assert got == JordanData.make([(r, 1), (r * minus, 1)])
 
     def test_push_then_pull(self):
         # pull(push(J,p),p) multiplies rank by p and keeps eigenvalues
         jd = JordanData.single(lam, 2)
-        pp = jordan_push_pull(jordan_push_pull(jd, 3, "push"), 3, "pull")
+        pp = jd.push(3).pull(3)
         assert pp.rank() == 3 * jd.rank()
         assert pp == JordanData.make([(lam, 2)] * 3)
 

@@ -7,7 +7,6 @@ from katz_forge.scalars import (Cyclotomic, Scalar, Sym, Eigenvalue,
                                 IrrationalRootError, IrrationalSumError,
                                 parse_scalar, render_scalar,
                                 parse_eigenvalue, render_eigenvalue,
-                                scalar_arith, scalar_root, eigenvalue_ops,
                                 cyclotomic_root)
 
 A1, A2 = Sym("a1"), Sym("a2")
@@ -66,38 +65,38 @@ class TestScalarField:
         with pytest.raises(IrrationalSumError):
             R(6).root(2) + A1
 
-    def test_arith_dispatch(self):
-        assert scalar_arith(A1, A2, "mul") == A1 * A2
-        assert scalar_arith(A1, A1, "sub").is_zero()
+    def test_arith_commutes_and_cancels(self):
+        assert A1 * A2 == A2 * A1
+        assert (A1 - A1).is_zero()
 
 
 class TestScalarRoot:
     def test_paper_normalization_root(self):
-        assert scalar_root(A1 ** 2 / R(4), 2) == A1 * HALF
+        assert (A1 ** 2 / R(4)).root(2) == A1 * HALF
 
     def test_perfect_square_sum(self):
-        r = scalar_root((A1 + A2) ** 2 / R(4), 2)
+        r = ((A1 + A2) ** 2 / R(4)).root(2)
         assert r == (A1 + A2) * HALF
 
     def test_identity(self):
-        assert scalar_root(R(1), 6) == R(1)
+        assert R(1).root(6) == R(1)
 
     def test_radical_tower(self):
         v = R(36) / A1 ** 2
-        r = scalar_root(v, 4)
+        r = v.root(4)
         assert r ** 4 == v
 
     def test_negative_rational(self):
-        r = scalar_root(R(-4), 2)
+        r = R(-4).root(2)
         assert r ** 2 == R(-4)
 
     def test_root_of_unity_minimal_argument(self):
-        r = scalar_root(Scalar.zeta(3), 3)
+        r = Scalar.zeta(3).root(3)
         assert r == Scalar.zeta(9)
 
     def test_irrational_poly(self):
         with pytest.raises(IrrationalRootError):
-            scalar_root(A1 + A2, 2)
+            (A1 + A2).root(2)
 
     def test_large_prime_radical_is_fast_and_exact(self):
         # 10^18 + 3 is prime: trial division alone would take minutes
@@ -185,15 +184,14 @@ def test_eigenvalue_group_laws(i, j, k, p):
         assert rt == a
 
 
-def test_eigenvalue_ops_dispatch():
+def test_eigenvalue_group_operations():
     l = Eigenvalue.sym("l")
     ml = Eigenvalue.minus_one() * l
-    assert eigenvalue_ops(ml, ml.inverse(), "mul").is_one()
-    assert eigenvalue_ops(l, r=Fraction(1, 2), op="pow") == Eigenvalue.make(
-        0, (("l", Fraction(1, 2)),))
-    # div(l, (-l)^3) = -l^-2
-    assert eigenvalue_ops(l, ml.pow(3), "div") == parse_eigenvalue("-1*l^-2")
-    assert eigenvalue_ops(l, l, "eq") is True
+    assert (ml * ml.inverse()).is_one()
+    assert l.pow(Fraction(1, 2)) == Eigenvalue.make(0, (("l", Fraction(1, 2)),))
+    # l / (-l)^3 = -l^-2
+    assert l / ml.pow(3) == parse_eigenvalue("-1*l^-2")
+    assert (l == l) is True
 
 
 def test_scalar_root_power_property():
@@ -205,7 +203,7 @@ def test_scalar_root_power_property():
         v = rng.choice(pool)
         p = rng.choice([1, 2, 3])
         try:
-            r = scalar_root(v, p)
+            r = v.root(p)
         except IrrationalRootError:
             continue
         assert r ** p == v
