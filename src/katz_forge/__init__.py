@@ -10,7 +10,7 @@ group G2: index of rigidity, irregularity, local solution dimensions,
 formal monodromy, exponential torus dimension and exterior cubes.
 """
 
-from .scalars import (Cyclotomic, Scalar, Eigenvalue, Sym,
+from .scalars import (Cyclotomic, Scalar, Eigenvalue,
                       IrrationalRootError, parse_scalar, parse_eigenvalue)
 from .jordan import JordanData, parse_jordan
 from .elementary import ElementaryModule, El, el_hom, parse_elementary
@@ -22,7 +22,7 @@ from .engine import (ConnectionDescriptor, ContradictionError, INF,
                      run_script, load_descriptor)
 
 __all__ = [
-    "Cyclotomic", "Scalar", "Eigenvalue", "Sym", "IrrationalRootError",
+    "Cyclotomic", "Scalar", "Eigenvalue", "IrrationalRootError",
     "parse_scalar", "parse_eigenvalue",
     "JordanData", "parse_jordan",
     "ElementaryModule", "El", "el_hom", "parse_elementary",

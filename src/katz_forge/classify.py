@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .scalars import Scalar, Sym, Eigenvalue, ONE
+from .scalars import Scalar, Eigenvalue, ONE
 from .jordan import JordanData, parse_jordan
 from .elementary import ElementaryModule, El
 from .formal_type import FormalType, parse_formal_type
@@ -124,7 +124,8 @@ class CandidateShape:
     summands: tuple  # ElementaryModules (tails in fresh symbols)
 
     def formal_type(self, reg_pattern: JordanData) -> FormalType:
-        assert reg_pattern.rank() == self.reg_rank
+        if reg_pattern.rank() != self.reg_rank:
+            raise ValueError(f"shape {self.label} needs regular rank {self.reg_rank}")
         return FormalType.make(reg_pattern, list(self.summands))
 
 
@@ -134,7 +135,7 @@ class _Names:
 
     def tail(self) -> Scalar:
         self.n += 1
-        return Sym(f"b{self.n}")
+        return Scalar.sym(f"b{self.n}")
 
     def eig(self) -> Eigenvalue:
         self.n += 1
@@ -258,7 +259,7 @@ def _special_pole2_shapes(profile, reg_rank) -> list:
     """The two pole-order-2 combinations: a dual pair of El(2, c/u^2+d/u, .)
     pieces with a rank-3 regular part, or with a slope-1/2 piece and a
     rank-1 regular part."""
-    c, d = Sym("c1"), Sym("c2")
+    c, d = Scalar.sym("c1"), Scalar.sym("c2")
     m = Eigenvalue.sym("m90")
     pair = [
         ElementaryModule.make(2, ONE, {2: c, 1: d}, JordanData.single(m, 1)),
@@ -267,7 +268,7 @@ def _special_pole2_shapes(profile, reg_rank) -> list:
     if profile == _prof((1, 4)) and reg_rank == 3:
         return [CandidateShape(profile, 3, "pole2pair", tuple(pair))]
     if profile == _prof((2, 2), (1, 4)) and reg_rank == 1:
-        extra = El(2, Sym("c3"), JordanData.single(Eigenvalue.minus_one(), 1))
+        extra = El(2, Scalar.sym("c3"), JordanData.single(Eigenvalue.minus_one(), 1))
         return [CandidateShape(profile, 1, "pole2pair+sd1@1/2", tuple(pair + [extra]))]
     return []
 
@@ -617,7 +618,7 @@ def _subs_eig(e: Eigenvalue, subs: dict) -> Eigenvalue:
 def _e2_member():
     from .engine import ConnectionDescriptor
     z65 = Scalar.zeta(6, 5)
-    a1 = Sym("a1")
+    a1 = Scalar.sym("a1")
     inf = FormalType.make(
         JordanData.single(Eigenvalue.minus_one(), 1),
         [El(2, -a1, "(1)"), El(2, z65 * a1, "(1)"), El(2, (z65 - ONE) * a1, "(1)")])

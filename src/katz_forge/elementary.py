@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (Cyclotomic, Scalar, Eigenvalue, ZERO, ONE,
+from .scalars import (Scalar, Eigenvalue, ZERO, ONE,
                       render_scalar, parse_scalar, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 
@@ -37,9 +37,12 @@ def _tail_pack(tail: dict) -> tuple:
 
 def _pos_key(s: Scalar):
     """Scalar ordering that prefers positive rational parts, so canonical
-    orbit representatives read naturally (a1 before -a1)."""
+    orbit representatives read naturally (a1 before -a1).  It reads integer
+    numerators: ``_orbit_min`` compares rotations of one scalar, which keep
+    each coefficient's denominator, so at equal order they order as the
+    coordinates do."""
     def poly_key(t):
-        return tuple((m, c.order, tuple((x < 0, abs(x)) for x in c.coords))
+        return tuple((m, c.order, tuple((x < 0, abs(x)) for x in c.num))
                      for m, c in t)
     return (s.rad, poly_key(s.den), poly_key(s.num))
 
@@ -117,14 +120,22 @@ class ElementaryModule:
     def _orbit_min(self) -> "ElementaryModule":
         if self.p == 1 or not self.tail:
             return self
-        best = None
-        for k in range(self.p):
-            tail = {j: a.times_unit(Cyclotomic.zeta(self.p, (-j * k) % self.p))
-                    for j, a in self.tail}
-            key = tuple((-j, _pos_key(a)) for j, a in sorted(tail.items(), reverse=True))
-            if best is None or key < best[0]:
-                best = (key, tail)
-        return ElementaryModule.make(self.p, ONE, best[1], self.r)
+        # zeta_p^k rotates the term of pole order j by zeta_p^(-jk).  Refine
+        # the candidates k term by term, leading pole order first, rotating
+        # once per residue -jk mod p; ties go to the smallest k.
+        p = self.p
+        ks = range(p)
+        rotated = {}
+        for j, a in sorted(self.tail, key=lambda t: -t[0]):
+            rot = rotated[j] = {}
+            for r in {-j * k % p for k in ks}:
+                b = a.times_unit(p, r)
+                rot[r] = (_pos_key(b), b)
+            least = min(key for key, _ in rot.values())
+            ks = [k for k in ks if rot[-j * k % p][0] == least]
+        k = ks[0]
+        tail = {j: rot[-j * k % p][1] for j, rot in rotated.items()}
+        return ElementaryModule.make(p, ONE, tail, self.r)
 
     # -- basic functors --------------------------------------------------------
     def dual(self) -> "ElementaryModule":
@@ -165,7 +176,7 @@ class ElementaryModule:
         for j in range(d):
             tail = {}
             for i, a in e.tail:
-                tail[i * kk] = a.times_unit(Cyclotomic.zeta(e.p, (-i * j) % e.p))
+                tail[i * kk] = a.times_unit(e.p, -i * j % e.p)
             out.append(ElementaryModule.make(pp, ONE, tail, e.r.pull(kk)).normalize())
         return out
 
@@ -230,8 +241,7 @@ def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
             jj = j * p2p
             # phi1((zeta w)^{p2'}): coefficient picks up zeta^(-j p2') with
             # zeta = e^(2 pi i k d / (p1 p2)), so the twist is e^(-2 pi i k j / p1)
-            tw = Cyclotomic.zeta(a.p, (-k * j) % a.p)
-            tail[jj] = tail.get(jj, ZERO) - c.times_unit(tw)
+            tail[jj] = tail.get(jj, ZERO) - c.times_unit(a.p, -k * j % a.p)
         tail = {j: c for j, c in tail.items() if not c.is_zero()}
         out.append(ElementaryModule.make(pw, ONE, tail, rr).normalize())
     return out

@@ -104,6 +104,8 @@ def rigidity_from_ends(rank: int, ends) -> int:
 def euler_char_middle(c: ConnectionDescriptor, family: dict) -> int:
     """chi of the middle extension of an auxiliary family given at each
     singular point (e.g. exterior cubes of the formal types)."""
+    if not family:
+        raise ValueError("euler_char_middle needs a nonempty family")
     r = len(c.points)
     rank = None
     out = 0

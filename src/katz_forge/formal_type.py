@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import (Cyclotomic, Scalar, Eigenvalue, ONE, render_scalar, parse_scalar,
+from .scalars import (Scalar, Eigenvalue, ONE, render_scalar, parse_scalar,
                       render_eigenvalue, parse_eigenvalue, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 from .elementary import (ElementaryModule, DetData, el_hom, el_tensor,
@@ -127,7 +127,7 @@ class FormalType:
             for i in range(e.p):
                 vec: dict = {}
                 for j, a in e.tail:
-                    tw = a.times_unit(Cyclotomic.zeta(e.p, (-j * i) % e.p))
+                    tw = a.times_unit(e.p, -j * i % e.p)
                     for key, val in _scalar_coords(tw, n).items():
                         vec[(j,) + key] = vec.get((j,) + key, Fraction(0)) + val
                 vectors.append(vec)
@@ -149,7 +149,22 @@ class FormalType:
         return FormalType.make(reg, els)
 
     def exterior_cube(self) -> "FormalType":
-        return _exterior_cube(self)
+        pieces = _refine(self)
+        total = FormalType.make(JordanData.zero(), ())
+        for comp in _compositions(len(pieces), 3):
+            factors = []
+            for (kind, obj), k in zip(pieces, comp):
+                f = _piece_exterior(kind, obj, k)
+                if f is None:
+                    break
+                if k:
+                    factors.append(f)
+            else:
+                prod = factors[0] if factors else _trivial_ft()
+                for f in factors[1:]:
+                    prod = prod.tensor(f)
+                total = total + prod
+        return total
 
     def dual(self) -> "FormalType":
         return FormalType.make(self.regular.dual(), [e.dual() for e in self.irregular])
@@ -172,7 +187,7 @@ def _scalar_coords(s: Scalar, order: int) -> dict:
     for mono, cyc in s.numd().items():
         for k, co in enumerate(cyc._lift(order)):
             if co:
-                out[(s.rad, s.den, mono, k)] = co
+                out[(s.rad, s.den, mono, k)] = Fraction(co, cyc.den)
     return out
 
 
@@ -239,28 +254,6 @@ def _det_ft(d: DetData) -> FormalType:
         return FormalType.regular_only(reg)
     return FormalType.make(JordanData.zero(),
                            [ElementaryModule.make(1, ONE, dict(d.tail), reg)])
-
-
-def _exterior_cube(ft: FormalType) -> FormalType:
-    pieces = _refine(ft)
-    total = FormalType.make(JordanData.zero(), ())
-    for comp in _compositions(len(pieces), 3):
-        factors = []
-        ok = True
-        for (kind, obj), k in zip(pieces, comp):
-            f = _piece_exterior(kind, obj, k)
-            if f is None:
-                ok = False
-                break
-            if k:
-                factors.append(f)
-        if not ok:
-            continue
-        prod = factors[0] if factors else _trivial_ft()
-        for f in factors[1:]:
-            prod = prod.tensor(f)
-        total = total + prod
-    return total
 
 
 def _compositions(n: int, total: int):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 class IrrationalRootError(ValueError):
@@ -36,31 +36,33 @@ class IrrationalSumError(ValueError):
 # ---------------------------------------------------------------------------
 # cyclotomic fields Q(zeta_N), power basis mod Phi_N, minimal-order canonical
 # ---------------------------------------------------------------------------
+# Phi_N is monic with integer coefficients, so reduction mod Phi_N never
+# divides: an element is kept as integer numerators over one denominator.
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Dense coefficient tuple (low degree first) of Phi_n over Q."""
+    """Dense integer coefficient tuple (low degree first) of Phi_n."""
     if n == 1:
-        return (Fraction(-1), Fraction(1))
+        return (-1, 1)
     # x^n - 1 divided by prod of Phi_d for proper divisors d
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _dense_divexact(num, list(cyclotomic_poly(d)))
+            num = _dense_divexact(num, cyclotomic_poly(d))
     return tuple(num)
 
 
-def _dense_divexact(a: list, b: list) -> list:
+def _dense_divexact(a: list, b: tuple) -> list:
+    """a / b for monic b.  No remainder check: ``cyclotomic_poly`` divides
+    x^n - 1, the product of the Phi_d over all d | n, by the Phi_d of its
+    proper divisors one at a time, so every division is exact."""
     a = a[:]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    out = [0] * (len(a) - len(b) + 1)
     for i in range(len(out) - 1, -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        out[i] = c
+        c = out[i] = a[i + len(b) - 1]
         if c:
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
-    assert all(x == 0 for x in a[: len(b) - 1])
     return out
 
 
@@ -73,29 +75,32 @@ def _euler_phi(n: int) -> int:
 def _zeta_power(n: int, k: int) -> tuple:
     """Coordinates of zeta_n^k in the power basis of Q(zeta_n)."""
     k %= n
-    phi = _euler_phi(n)
-    dense = [Fraction(0)] * (k + 1)
-    dense[k] = Fraction(1)
-    dense = _reduce_mod_phi(dense, n)
-    dense += [Fraction(0)] * (phi - len(dense))
-    return tuple(dense[:phi])
+    return tuple(_reduce_mod_phi([0] * k + [1], n))
 
 
 def _reduce_mod_phi(dense: list, n: int) -> list:
-    phi = list(cyclotomic_poly(n))
+    """The phi(n) coordinates of dense (reduced in place) mod Phi_n."""
+    phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    dense = dense[:]
     for i in range(len(dense) - 1, d - 1, -1):
         c = dense[i]
         if c:
-            dense[i] = Fraction(0)
             for j in range(d):
                 dense[i - d + j] -= c * phi[j]
-    while len(dense) > d:
-        dense.pop()
-    while len(dense) < d:
-        dense.append(Fraction(0))
+    del dense[d:]
+    dense += [0] * (d - len(dense))
     return dense
+
+
+def _dense_mul(a, b) -> list:
+    """Schoolbook product of two dense coefficient lists."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return prod
 
 
 def row_reduce(m) -> list:
@@ -139,47 +144,45 @@ def _solve_linear(rows, rhs):
 
 
 @lru_cache(maxsize=None)
-def _subfield_basis(n: int, m: int) -> tuple:
-    """Columns: coordinates in Q(zeta_n) of the power basis of Q(zeta_m)."""
-    step = n // m
-    return tuple(_zeta_power(n, step * k) for k in range(_euler_phi(m)))
-
-
-@lru_cache(maxsize=None)
 def _subfield_projection(n: int, m: int) -> tuple:
-    """(checks, reads): how to read coordinates x in Q(zeta_n) as ones in
-    Q(zeta_m), m | n, each row a tuple of (index i, coefficient c).
+    """(checks, reads, d): how to read numerators x in Q(zeta_n) as ones in
+    Q(zeta_m), m | n, in integers, each row a tuple of (index i, int c).
 
-    The rows of ``reads`` form a left inverse of the embedding of Q(zeta_m)
-    (the columns of ``_subfield_basis``) that uses only the first linearly
-    independent coordinates of Q(zeta_n): y[j] = sum(c * x[i]).  x lies in
-    Q(zeta_m) iff embedding y gives x back.  On those coordinates it does
-    by construction; ``checks`` holds a pair (r, row) for each other
-    coordinate r, and x lies in the subfield iff x[r] == sum(c * x[i]) for
-    all of them.  Rows with fewest terms come first, as most elements fail
-    at once."""
-    cols = _subfield_basis(n, m)
+    d times a left inverse of the embedding of Q(zeta_m) (its columns are
+    zeta_n^(k n/m), k < phi(m)) that uses only the first linearly
+    independent coordinates of Q(zeta_n) has the rows ``reads``:
+    d * y[j] = sum(c * x[i]).  x lies in Q(zeta_m) iff embedding y gives x
+    back.  On those coordinates it does by construction; ``checks`` holds
+    (r, s, row) for each other coordinate r, and x lies in the subfield iff
+    s * x[r] == sum(c * x[i]) for all of them.  Rows with fewest terms come
+    first, as most elements fail at once."""
+    step = n // m
+    cols = [[Fraction(v) for v in _zeta_power(n, step * k)] for k in range(_euler_phi(m))]
     phi_m = len(cols)
     left = [_solve_linear(cols, [Fraction(int(i == j)) for i in range(phi_m)])
             for j in range(phi_m)]
     support = sorted({i for row in left for i, c in enumerate(row) if c})
     checks = []
     for r in sorted(set(range(_euler_phi(n))) - set(support)):
-        row = ((i, sum(cols[j][r] * left[j][i] for j in range(phi_m))) for i in support)
-        checks.append((r, tuple((i, c) for i, c in row if c)))
-    checks.sort(key=lambda t: len(t[1]))
-    reads = tuple(tuple((i, row[i]) for i in support if row[i]) for row in left)
-    return tuple(checks), reads
+        row = [(i, sum(cols[j][r] * left[j][i] for j in range(phi_m))) for i in support]
+        row = [(i, c) for i, c in row if c]
+        s = lcm(*(c.denominator for _, c in row))
+        checks.append((r, s, tuple((i, int(c * s)) for i, c in row)))
+    checks.sort(key=lambda t: len(t[2]))
+    d = lcm(*(c.denominator for row in left for c in row))
+    reads = tuple(tuple((i, int(row[i] * d)) for i in support if row[i]) for row in left)
+    return tuple(checks), reads, d
 
 
 def _read_subfield(n: int, m: int, x):
-    """Coordinates in Q(zeta_m) of x given in Q(zeta_n), or None when x
-    does not lie in Q(zeta_m)."""
-    checks, reads = _subfield_projection(n, m)
-    for r, row in checks:
-        if x[r] != sum(c * x[i] for i, c in row):
+    """(numerators, d): the coordinates in Q(zeta_m) of the numerators x
+    given in Q(zeta_n), over the factor d; None when x does not lie in
+    Q(zeta_m)."""
+    checks, reads, d = _subfield_projection(n, m)
+    for r, s, row in checks:
+        if s * x[r] != sum(c * x[i] for i, c in row):
             return None
-    return [sum(c * x[i] for i, c in row) for row in reads]
+    return [sum(c * x[i] for i, c in row) for row in reads], d
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +195,7 @@ def _power_sum(n: int, terms) -> list:
     terms, 0 <= e < n: an exponent below phi(n) is a basis index, only the
     others need a row of ``_zeta_power``."""
     phi = _euler_phi(n)
-    dense = [Fraction(0)] * phi
+    dense = [0] * phi
     for e, c in terms:
         if not c:
             continue
@@ -208,105 +211,136 @@ def _power_sum(n: int, terms) -> list:
 class Cyclotomic:
     """Element of a cyclotomic field in canonical form.
 
-    Stored as (order n, coordinates in the power basis of Q(zeta_n)), with
-    n minimal: an element lying in Q(zeta_m) for m | n is re-expressed at
-    order m.  Zero has order 1.
+    Stored as its order n, the integer numerators ``num`` of its coordinates
+    in the power basis of Q(zeta_n) and their common denominator ``den``,
+    with den > 0 and gcd(den, *num) == 1, so equality is structural.  n is
+    minimal: an element lying in Q(zeta_m) for m | n is re-expressed at
+    order m.  Zero has order 1.  ``coords``, the coordinates as Fractions,
+    is built on first use.
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "num", "den", "_coords")
 
     def __init__(self, order: int, coords):
-        self.order = order
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
+        self.order, self.den, self._coords = order, lcm(*(c.denominator for c in coords)), None
+        self.num = tuple(c.numerator * (self.den // c.denominator) for c in coords)
+
+    @staticmethod
+    def _raw(order: int, num: tuple, den: int) -> "Cyclotomic":
+        x = object.__new__(Cyclotomic)
+        x.order, x.num, x.den, x._coords = order, num, den, None
+        return x
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            self._coords = tuple(Fraction(x, self.den) for x in self.num)
+        return self._coords
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
+        q = Fraction(q)
+        return Cyclotomic._raw(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         return _zeta(n, k % n)
 
     @staticmethod
-    def _make(n: int, dense) -> "Cyclotomic":
-        dense = _reduce_mod_phi(list(dense), n)
-        return Cyclotomic._canonical(n, dense)
+    def _make(n: int, dense: list, den: int) -> "Cyclotomic":
+        """sum(dense[k] * zeta_n^k) / den; dense is reduced in place."""
+        return Cyclotomic._canonical(n, _reduce_mod_phi(dense, n), den)
 
     @staticmethod
-    def _canonical(n: int, coords) -> "Cyclotomic":
-        """The element with these coordinates in Q(zeta_n), at its minimal
-        order.  The orders m | n with the element in Q(zeta_m) are closed
-        under gcd, so descending through maximal subfields Q(zeta_{m/p})
-        while the element lies in one ends at the least of them."""
-        if not any(coords):
-            return Cyclotomic(1, (Fraction(0),))
+    def _canonical(n: int, num, den: int = 1) -> "Cyclotomic":
+        """The element num / den, num its numerators in Q(zeta_n) and
+        den > 0, at its minimal order.  The orders m | n with the element in
+        Q(zeta_m) are closed under gcd, so descending through maximal
+        subfields Q(zeta_{m/p}) while the element lies in one ends at the
+        least of them."""
+        if not any(num):
+            return ZERO_C
         m = n
         while True:
             for p in _prime_divisors(m):
-                sub = _read_subfield(m, m // p, coords)
+                sub = _read_subfield(m, m // p, num)
                 if sub is not None:
-                    m, coords = m // p, sub
+                    m, (num, d) = m // p, sub
+                    den *= d
                     break
             else:
-                return Cyclotomic(m, coords)
+                break
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        return Cyclotomic._raw(m, tuple(num), den)
 
     def _lift(self, n: int):
-        """Coords of self inside Q(zeta_n) (self.order | n)."""
+        """Numerators of self inside Q(zeta_n) (self.order | n), over
+        self.den."""
         if n == self.order:
-            return self.coords
+            return self.num
         step = n // self.order
-        return _power_sum(n, ((step * k, c) for k, c in enumerate(self.coords)))
+        return _power_sum(n, ((step * k, c) for k, c in enumerate(self.num)))
 
     # -- arithmetic --------------------------------------------------------
     def _binop(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.from_rational(other)
         n = lcm(self.order, other.order)
-        return n, self._lift(n), other._lift(n)
+        return n, self._lift(n), other._lift(n), other
+
+    def _sum(self, other, sign: int) -> "Cyclotomic":
+        n, a, b, other = self._binop(other)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return Cyclotomic._canonical(n, [x * sa + y * sb for x, y in zip(a, b)], den)
 
     def __add__(self, other):
-        n, a, b = self._binop(other)
-        return Cyclotomic._canonical(n, [x + y for x, y in zip(a, b)])
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        n, a, b = self._binop(other)
-        return Cyclotomic._canonical(n, [x - y for x, y in zip(a, b)])
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coords))
+        return Cyclotomic._raw(self.order, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
-        n, a, b = self._binop(other)
-        prod = [Fraction(0)] * (2 * len(a))
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic._make(n, prod)
+        n, a, b, other = self._binop(other)
+        return Cyclotomic._make(n, _dense_mul(a, b), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
+    def times_zeta(self, n: int, k: int) -> "Cyclotomic":
+        """self * zeta_n^k: in Q(zeta_m), m the lcm of self.order and n,
+        every exponent of self moves up by k * m / n."""
+        if k % n == 0:
+            return self
+        m = lcm(self.order, n)
+        step, shift = m // self.order, k * (m // n)
+        return Cyclotomic._canonical(
+            m, _power_sum(m, (((step * i + shift) % m, c) for i, c in enumerate(self.num))),
+            self.den)
+
     def inverse(self) -> "Cyclotomic":
+        """1 / self: the product of the other Galois conjugates of self,
+        divided by the norm, which is the product of all of them and
+        rational."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        n = self.order
-        phi = _euler_phi(n)
-        a = self.coords
-        # columns of multiplication-by-a matrix
-        cols = []
-        for k in range(phi):
-            col = [Fraction(0)] * (phi + k)
-            for i, x in enumerate(a):
-                col[i + k] += x
-            cols.append(_reduce_mod_phi(col, n))
-        rows = [[cols[c][r] for c in range(phi)] for r in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _solve_linear(rows, rhs)
-        assert sol is not None
-        return Cyclotomic._canonical(n, sol)
+        n, a = self.order, self.num
+        others = [1]
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                conj = _power_sum(n, ((j * k % n, c) for k, c in enumerate(a)))
+                others = _reduce_mod_phi(_dense_mul(others, conj), n)
+        # self = a / den and norm(a) = a * others, so 1/self = others * den / norm(a)
+        norm = _reduce_mod_phi(_dense_mul(a, others), n)[0]
+        sign = 1 if norm > 0 else -1
+        return Cyclotomic._canonical(n, [sign * self.den * x for x in others], sign * norm)
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -317,11 +351,11 @@ class Cyclotomic:
         """Apply zeta -> zeta^j (j coprime to the order)."""
         n = self.order
         return Cyclotomic._canonical(
-            n, _power_sum(n, ((j * k % n, c) for k, c in enumerate(self.coords))))
+            n, _power_sum(n, ((j * k % n, c) for k, c in enumerate(self.num))), self.den)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.order == 1 and self.coords[0] == 0
+        return self.order == 1 and self.num[0] == 0
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -329,7 +363,7 @@ class Cyclotomic:
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{render_cyclotomic(self)} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def as_unit_times_rational(self):
         """Return (q, torsion) with self = q * e^(2 pi i torsion), q rational
@@ -337,17 +371,16 @@ class Cyclotomic:
         None if self is not rational times a root of unity."""
         if self.is_zero():
             return None
-        x = self.coords
+        x = self.num
         i = next(i for i, c in enumerate(x) if c)
         units = _roots_of_unity(self.order)
         for k, z in enumerate(units):
-            if z[i]:
-                q = x[i] / z[i]
-                if all(c == q * v for c, v in zip(x, z)):
-                    t = Fraction(k, len(units))
-                    if q < 0:
-                        q, t = -q, (t + Fraction(1, 2)) % 1
-                    return q, t % 1
+            if z[i] and all(c * z[i] == v * x[i] for c, v in zip(x, z)):
+                q = Fraction(x[i], z[i] * self.den)
+                t = Fraction(k, len(units))
+                if q < 0:
+                    q, t = -q, (t + Fraction(1, 2)) % 1
+                return q, t % 1
         return None
 
     def sort_key(self):
@@ -356,10 +389,12 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other)
-        return isinstance(other, Cyclotomic) and self.order == other.order and self.coords == other.coords
+        return (isinstance(other, Cyclotomic) and self.order == other.order
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.order, self.coords))
+        # an int hashes as the Fraction of the same value
+        return hash((self.order, self.num if self.den == 1 else self.coords))
 
     def __repr__(self):
         return f"Cyclotomic({render_cyclotomic(self)})"
@@ -373,10 +408,11 @@ def _zeta(n: int, k: int) -> Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _roots_of_unity(order: int) -> tuple:
-    """Coordinates in Q(zeta_order) of zeta_n^k for k < n, n = lcm(2, order):
-    every root of unity of that field, in the order of k."""
+    """Numerators in Q(zeta_order) of zeta_n^k for k < n, n = lcm(2, order):
+    every root of unity of that field, in the order of k (all have
+    denominator 1)."""
     n = lcm(2, order)
-    return tuple(_zeta(n, k)._lift(order) for k in range(n))
+    return tuple(tuple(_zeta(n, k)._lift(order)) for k in range(n))
 
 
 ONE_C = Cyclotomic.from_rational(1)
@@ -846,11 +882,11 @@ class Scalar:
         den = poly_mul(den, carry_den)
         return Scalar.make(num, den, rad)
 
-    def times_unit(self, u: Cyclotomic) -> "Scalar":
-        """self * u for a root of unity u, without the gcd of ``make``: a
-        unit leaves num and den coprime, den monic and the monomials of
-        num in place, so the product is already canonical."""
-        return Scalar(tuple((m, c * u) for m, c in self.num), self.den, self.rad)
+    def times_unit(self, n: int, k: int) -> "Scalar":
+        """self * zeta_n^k, without the gcd of ``make``: a unit leaves num
+        and den coprime, den monic and the monomials of num in place, so
+        the product is already canonical."""
+        return Scalar(tuple((m, c.times_zeta(n, k)) for m, c in self.num), self.den, self.rad)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
@@ -1041,10 +1077,6 @@ def _factor(n: int) -> dict:
 
 ZERO = Scalar.make({}, poly_const(ONE_C))
 ONE = Scalar.make(poly_const(ONE_C), poly_const(ONE_C))
-
-
-def Sym(name: str) -> Scalar:
-    return Scalar.sym(name)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from katz_forge.scalars import Sym, parse_scalar, parse_eigenvalue, ONE
+from katz_forge.scalars import Scalar, parse_scalar, parse_eigenvalue, ONE
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.elementary import ElementaryModule
 from katz_forge.formal_type import FormalType, parse_formal_type
@@ -175,10 +175,10 @@ def test_criterion_6_lambda3_euler_characteristics():
 
 def test_criterion_7_exponential_torus():
     t1 = FormalType.make(JordanData.zero(), [
-        ElementaryModule.make(6, ONE, {3: Sym("c3"), 1: Sym("c1")}, J("(1)"))])
+        ElementaryModule.make(6, ONE, {3: Scalar.sym("c3"), 1: Scalar.sym("c1")}, J("(1)"))])
     assert t1.exponential_torus_dim() == 3
-    for tail in ({3: Sym("c3"), 1: Sym("c1")}, {3: Sym("c3"), 2: Sym("c2")},
-                 {3: Sym("c3"), 2: Sym("c2"), 1: Sym("c1")}):
+    for tail in ({3: Scalar.sym("c3"), 1: Scalar.sym("c1")}, {3: Scalar.sym("c3"), 2: Scalar.sym("c2")},
+                 {3: Scalar.sym("c3"), 2: Scalar.sym("c2"), 1: Scalar.sym("c1")}):
         t2 = FormalType.make(JordanData.zero(), [
             ElementaryModule.make(3, ONE, dict(tail), J("(1)"))])
         assert t2.exponential_torus_dim() == 3
@@ -190,7 +190,7 @@ def test_criterion_7_exponential_torus():
 
 def test_criterion_8_hypergeometric_example():
     for k in (1, 5, 7):
-        tail = {i: Sym(f"h{i}") for i in range(1, k + 7)}
+        tail = {i: Scalar.sym(f"h{i}") for i in range(1, k + 7)}
         v = ElementaryModule.make(6, ONE, tail, J("(m)"))
         c = ConnectionDescriptor.make({INF: FormalType.make(J("(n)"), [v])}, 7)
         assert c.inf_type().end().irregularity() == 7 * (k + 6)

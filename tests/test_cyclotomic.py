@@ -5,7 +5,9 @@ implementations from the same data; every operation must give the same
 order and coordinates, and the order must be minimal."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,13 +35,19 @@ def field(count: int):
 
 
 def both(n: int, dense):
-    return Cyclotomic._make(n, dense), ref.Cyclotomic._make(n, dense)
+    den = lcm(*(c.denominator for c in dense))
+    num = [int(c * den) for c in dense]
+    return Cyclotomic._make(n, num, den), ref.Cyclotomic._make(n, dense)
 
 
 def same(new, old):
     assert isinstance(new, Cyclotomic)
     assert (new.order, new.coords) == (old.order, old.coords)
     assert all(type(c) is Fraction for c in new.coords)
+    # integer numerators over one positive denominator, in lowest terms
+    assert all(type(c) is int for c in new.num)
+    assert type(new.den) is int and new.den > 0
+    assert gcd(new.den, *new.num) == 1
 
 
 def minimal(x):
@@ -95,9 +103,22 @@ def test_zeta_agrees(n, k):
 @given(field(3))
 def test_field_axioms(drawn):
     n, dense = drawn
-    a, b, c = (Cyclotomic._make(n, d) for d in dense)
+    a, b, c = (both(n, d)[0] for d in dense)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a and a * b == b * a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(field(1))
+def test_inverse_is_conjugates_over_norm(drawn):
+    n, (da,) = drawn
+    a, ra = both(n, da)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    same(a.inverse(), ra.inverse())
+    assert a * a.inverse() == 1

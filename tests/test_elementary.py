@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import (Cyclotomic, Scalar, Sym, Eigenvalue, ONE,
+from katz_forge.scalars import (Scalar, Eigenvalue, ONE,
                                 IrrationalRootError, parse_scalar)
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.formal_type import FormalType
 from katz_forge.elementary import (ElementaryModule, El, el_hom,
                                    render_elementary, parse_elementary)
 
-A1, A2 = Sym("a1"), Sym("a2")
+A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 J = parse_jordan
 LL = J("(l, l^-1)")
 
@@ -260,7 +260,7 @@ def test_normalize_sets_flag_and_is_idempotent(e):
 @given(_modules(), st.integers(0, 5))
 def test_iso_eq_is_equality_of_normal_forms(e, k):
     # a zeta_p rotation of the tail is an isomorphic module
-    z = {j: a.times_unit(Cyclotomic.zeta(e.p, j * k % e.p)) for j, a in e.tail}
+    z = {j: a.times_unit(e.p, j * k % e.p) for j, a in e.tail}
     rot = ElementaryModule.make(e.p, ONE, z, e.r)
     e1 = ElementaryModule.make(e.p, ONE, e.taild(), e.r)
     assert e1.iso_eq(rot)
@@ -277,7 +277,45 @@ def test_iso_eq_matches_normal_forms_on_pairs(e1, e2):
 @given(st.sampled_from(_TAIL_POOL + _COEFF_POOL + [R(0), A1.root(2), parse_scalar("2*a1^(3/2)*6^(1/2)")]),
        st.integers(1, 12), st.integers(0, 11))
 def test_times_unit_is_multiplication_by_zeta(a, n, k):
-    assert a.times_unit(Cyclotomic.zeta(n, k)) == a * Scalar.zeta(n, k)
+    assert a.times_unit(n, k) == a * Scalar.zeta(n, k)
+
+
+def _coords_pos_key(s):
+    """The orbit ordering on Fraction coordinates: positive parts first."""
+    def poly_key(t):
+        return tuple((m, c.order, tuple((x < 0, abs(x)) for x in c.coords)) for m, c in t)
+    return (s.rad, poly_key(s.den), poly_key(s.num))
+
+
+def _orbit_min_by_rotations(e):
+    """The zeta_p-orbit minimum the one-pass choice must match: every tail
+    term rotated by every zeta_p^k, the least key on coordinates kept,
+    first k on ties."""
+    best = None
+    for k in range(e.p):
+        tail = {j: a * Scalar.zeta(e.p, -j * k % e.p) for j, a in e.tail}
+        key = tuple((-j, _coords_pos_key(a)) for j, a in sorted(tail.items(), reverse=True))
+        if best is None or key < best[0]:
+            best = (key, tail)
+    return ElementaryModule.make(e.p, ONE, best[1], e.r)
+
+
+_ORBIT_POOL = _TAIL_POOL + [R(2), R(-3), Scalar.zeta(12, 5), Scalar.zeta(5) + R(1),
+                            Scalar.zeta(4) * A1 ** 2, Scalar.zeta(8, 3) * (A1 + R(1))]
+
+
+@st.composite
+def _rotation_inputs(draw):
+    p = draw(st.integers(1, 6))
+    js = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
+    return ElementaryModule.make(p, ONE, {j: draw(st.sampled_from(_ORBIT_POOL)) for j in js},
+                                 J("(1)"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rotation_inputs())
+def test_orbit_min_is_the_least_rotation(e):
+    assert e._orbit_min().tail == _orbit_min_by_rotations(e).tail
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ contradiction reports.
 
 import pytest
 
-from katz_forge.scalars import Scalar, Sym, parse_scalar, parse_eigenvalue
+from katz_forge.scalars import Scalar, parse_scalar, parse_eigenvalue
 from katz_forge.jordan import parse_jordan
 from katz_forge.formal_type import FormalType, parse_formal_type
 from katz_forge.fourier import (OutOfScopeError, lft_zero_to_inf, lft_shifted,
@@ -50,14 +50,14 @@ GOLDEN = [gm("(J(3),J(3),1)", E1_INF), gm("(-J(2),-J(2),E3)", E1_INF),
 
 class TestLocalFourier:
     def test_degree_bookkeeping(self):
-        out = lft_zero_to_inf(El(1, Sym("a"), "(m)"))
+        out = lft_zero_to_inf(El(1, Scalar.sym("a"), "(m)"))
         assert out.p == 2 and out.q() == 1
 
     def test_e1_slot_piece(self):
         # El(u, (a1^2/4)/u, (-l,-l^-1)) transforms to El(2, a1, (l, l^-1))
         e = El(1, S("a1^2/4"), "(-l, -l^-1)")
         out = lft_zero_to_inf(e)
-        assert out.iso_eq(El(2, Sym("a1"), "(l, l^-1)"))
+        assert out.iso_eq(El(2, Scalar.sym("a1"), "(l, l^-1)"))
 
     def test_regular_entry_point_error(self):
         with pytest.raises(OutOfScopeError):
@@ -72,19 +72,19 @@ class TestLocalFourier:
         assert payload == J("(-l, -l^-1)")
 
     def test_slope_half_recovery(self):
-        e = El(2, Sym("a"), "(m)").normalize()
-        s, payload = lft_inf_to_s(lft_zero_to_inf(El(1, Sym("b"), "(m)")))
+        e = El(2, Scalar.sym("a"), "(m)").normalize()
+        s, payload = lft_inf_to_s(lft_zero_to_inf(El(1, Scalar.sym("b"), "(m)")))
         assert s.is_zero()
 
     def test_slope_one_ramified_out_of_scope(self):
-        e = ElementaryModule.make(2, Scalar.rational(1), {2: Sym("a"), 1: Sym("b")}, J("(1)"))
+        e = ElementaryModule.make(2, Scalar.rational(1), {2: Scalar.sym("a"), 1: Scalar.sym("b")}, J("(1)"))
         with pytest.raises(OutOfScopeError):
             lft_inf_to_s(e)
 
     def test_slope_transport(self):
         # (p, q) -> (p + q, q) under the transform, slope numerator stays 1
         for p, q in [(1, 1), (2, 1), (5, 1), (3, 1)]:
-            e = ElementaryModule.make(p, Scalar.rational(1), {q: Sym("a")}, J("(1)"))
+            e = ElementaryModule.make(p, Scalar.rational(1), {q: Scalar.sym("a")}, J("(1)"))
             out = lft_zero_to_inf(e)
             assert (out.p, out.q()) == (p + q, q)
 
@@ -265,7 +265,7 @@ class TestOperationProperties:
 class TestHypergeometricExample:
     def test_rig_9_minus_7k(self):
         for k in (1, 5, 7):
-            tail = {i: Sym(f"h{i}") for i in range(1, k + 7)}
+            tail = {i: Scalar.sym(f"h{i}") for i in range(1, k + 7)}
             v = ElementaryModule.make(6, Scalar.rational(1), tail, J("(m)"))
             inf = FormalType.make(J("(n)"), [v])
             c = ConnectionDescriptor.make({INF: inf}, 7)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import Sym, Eigenvalue, ONE
+from katz_forge.scalars import Scalar, Eigenvalue, ONE
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.elementary import El, ElementaryModule
 from katz_forge.formal_type import (FormalType, parse_formal_type,
@@ -13,7 +13,7 @@ from katz_forge.fourier import vanishing_data, nearby_from_vanishing
 
 J = parse_jordan
 FT = parse_formal_type
-A1, A2 = Sym("a1"), Sym("a2")
+A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 SHIFT_EIGS = [Eigenvalue.one(), Eigenvalue.minus_one(),
               Eigenvalue.of_torsion(Fraction(1, 3)),
               Eigenvalue.of_torsion(Fraction(1, 4)),
@@ -119,15 +119,15 @@ class TestTorus:
 
     def test_p6_q3(self):
         f = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(6, ONE, {3: Sym("b3"), 1: Sym("b1")}, J("(1)"))])
+            ElementaryModule.make(6, ONE, {3: Scalar.sym("b3"), 1: Scalar.sym("b1")}, J("(1)"))])
         assert f.exponential_torus_dim() == 3
 
     def test_p3_q3(self):
         full = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(3, ONE, {3: Sym("b3"), 2: Sym("b2"), 1: Sym("b1")}, J("(1)"))])
+            ElementaryModule.make(3, ONE, {3: Scalar.sym("b3"), 2: Scalar.sym("b2"), 1: Scalar.sym("b1")}, J("(1)"))])
         assert full.exponential_torus_dim() == 3
         no_mid = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(3, ONE, {3: Sym("b3"), 1: Sym("b1")}, J("(1)"))])
+            ElementaryModule.make(3, ONE, {3: Scalar.sym("b3"), 1: Scalar.sym("b1")}, J("(1)"))])
         assert no_mid.exponential_torus_dim() == 3
 
     def test_single_exponential(self):

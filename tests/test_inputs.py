@@ -49,6 +49,7 @@ ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)"
 # the names of CALLS_SETUP
 CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, FormalType, "
                "euler_char_middle, parse_jordan, parse_scalar\n"
+               "from katz_forge.classify import CandidateShape\n"
                "def reg(t):\n"
                "    return FormalType.regular_only(parse_jordan(t))\n"
                "KUMMER = ConnectionDescriptor.make("
@@ -58,6 +59,11 @@ CALLS = {
     "euler_char_middle_mixed_ranks":
         "euler_char_middle(KUMMER, {parse_scalar('0'): reg('(1)'), 'inf': reg('(1, 1)')})",
     "rational_value_of_zeta_3": "Cyclotomic.zeta(3).rational_value()",
+    # an auxiliary family with no member has no rank
+    "euler_char_middle_empty_family": "euler_char_middle(KUMMER, {})",
+    # a shape with a rank-2 regular part given a rank-1 pattern
+    "shape_formal_type_wrong_regular_rank":
+        "CandidateShape((), 2, 'reg2', ()).formal_type(parse_jordan('(1)'))",
 }
 
 

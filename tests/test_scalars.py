@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import (Cyclotomic, Scalar, Sym, Eigenvalue,
+from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue,
                                 IrrationalRootError, IrrationalSumError,
                                 parse_scalar, render_scalar,
                                 parse_eigenvalue, render_eigenvalue,
                                 cyclotomic_root)
 
-A1, A2 = Sym("a1"), Sym("a2")
+A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 HALF = Scalar.rational(Fraction(1, 2))
 
 
