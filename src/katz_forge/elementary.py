@@ -59,6 +59,8 @@ class ElementaryModule:
     def make(p: int, coeff: Scalar, tail, r: JordanData) -> "ElementaryModule":
         if isinstance(tail, dict):
             tail = _tail_pack(tail)
+        if tail and tail[0][0] < 1:
+            raise ValueError(f"pole order must be at least 1, got {tail[0][0]}")
         if coeff.is_zero():
             raise ValueError("ramification coefficient must be nonzero")
         if not r.rank():

@@ -16,7 +16,7 @@ from .scalars import (Scalar, Eigenvalue, ZERO, ONE, render_scalar, parse_scalar
                       parse_eigenvalue)
 from .jordan import JordanData
 from .elementary import ElementaryModule
-from .formal_type import (FormalType, formal_type_to_json, formal_type_from_json,
+from .formal_type import (FormalType, formal_type_to_json, formal_type_from_json, json_int,
                           render_formal_type)
 from .fourier import (OutOfScopeError, vanishing_data, nearby_from_vanishing,
                       lft_shifted, lft_inf_to_s, epsilon_twist_inf)
@@ -380,7 +380,7 @@ def descriptor_to_json(c: ConnectionDescriptor) -> dict:
 
 
 def descriptor_from_json(d: dict) -> ConnectionDescriptor:
-    rank = int(d["rank"])
+    rank = json_int(d["rank"], "rank")
     pts, keys = {}, {}
     for loc_s, ft_d in d["points"].items():
         loc = INF if loc_s == INF else parse_scalar(loc_s)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import Eigenvalue, parse_eigenvalue, render_eigenvalue, split_top
 
@@ -21,8 +22,10 @@ class JordanData:
 
     @staticmethod
     def make(blocks) -> "JordanData":
-        bl = tuple(sorted(((e, int(s)) for e, s in blocks),
-                          key=lambda t: (t[0].sort_key(), -t[1])))
+        # the order of (e.sort_key(), -size), torsion k/n read as k * (L // n)
+        bl = [(e, int(s)) for e, s in blocks]
+        L = lcm(*(e.n for e, _ in bl))
+        bl = tuple(sorted(bl, key=lambda t: (t[0].word, t[0].k * (L // t[0].n), -t[1])))
         for _, s in bl:
             if s < 1:
                 raise ValueError(f"Jordan block size must be at least 1, got {s}")

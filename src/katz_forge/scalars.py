@@ -10,7 +10,8 @@ Two scalar sorts are used throughout the engine:
 
 * ``Eigenvalue`` -- elements of the multiplicative group
   (roots of unity) x (free abelian group on formal symbols with rational
-  exponents).  These house monodromy eigenvalues such as ``-l^-2``.
+  exponents).  These house monodromy eigenvalues such as ``-l^-2``, with
+  the root of unity and the integral exponents kept in ints.
 
 Everything is immutable and canonically normalized, so equality is
 structural and decidable.  No floating point anywhere.
@@ -129,20 +130,6 @@ def row_reduce(m) -> list:
     return piv_cols
 
 
-def _solve_linear(rows, rhs):
-    """Solve A x = b over Q; A given as list of rows. Returns None if
-    inconsistent, else one solution (free vars set to 0)."""
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    ncols = len(m[0]) - 1
-    piv_cols = row_reduce(m)
-    if piv_cols and piv_cols[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][-1]
-    return x
-
-
 @lru_cache(maxsize=None)
 def _subfield_projection(n: int, m: int) -> tuple:
     """(checks, reads, d): how to read numerators x in Q(zeta_n) as ones in
@@ -158,12 +145,17 @@ def _subfield_projection(n: int, m: int) -> tuple:
     first, as most elements fail at once."""
     step = n // m
     cols = [[Fraction(v) for v in _zeta_power(n, step * k)] for k in range(_euler_phi(m))]
-    phi_m = len(cols)
-    left = [_solve_linear(cols, [Fraction(int(i == j)) for i in range(phi_m)])
-            for j in range(phi_m)]
+    phi_m, phi_n = len(cols), _euler_phi(n)
+    # reducing [cols | I] once gives E cols in echelon form and E; the solution
+    # of cols x = e_j with free coordinates 0 is column j of E on the pivots
+    aug = [row + [Fraction(int(i == j)) for j in range(phi_m)] for i, row in enumerate(cols)]
+    left = [[Fraction(0)] * phi_n for _ in range(phi_m)]
+    for i, c in enumerate(row_reduce(aug)):
+        for j in range(phi_m):
+            left[j][c] = aug[i][phi_n + j]
     support = sorted({i for row in left for i, c in enumerate(row) if c})
     checks = []
-    for r in sorted(set(range(_euler_phi(n))) - set(support)):
+    for r in sorted(set(range(phi_n)) - set(support)):
         row = [(i, sum(cols[j][r] * left[j][i] for j in range(phi_m))) for i in support]
         row = [(i, c) for i, c in row if c]
         s = lcm(*(c.denominator for _, c in row))
@@ -726,8 +718,7 @@ def cyclotomic_root(c: Cyclotomic, p: int) -> Cyclotomic:
         raise IrrationalRootError("rational part is not a perfect p-th power")
     # minimal-argument root of the unit part
     tt = t / p
-    zz = _torsion_to_cyclotomic(tt)
-    return zz * Fraction(num, den)
+    return Cyclotomic.zeta(tt.denominator, tt.numerator) * Fraction(num, den)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -748,11 +739,6 @@ def _perfect_root(n: int, p: int):
         return None
     r = _iroot(n, p)
     return r if r ** p == n else None
-
-
-def _torsion_to_cyclotomic(t: Fraction) -> Cyclotomic:
-    t %= 1
-    return Cyclotomic.zeta(t.denominator, t.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +849,8 @@ class Scalar:
             return self
         if self.rad != other.rad:
             raise IrrationalSumError("adding scalars with different radical parts")
+        if self.den == other.den:
+            return Scalar.make(poly_add(self.numd(), other.numd()), self.dend(), self.rad)
         a, b, c, d = self.numd(), self.dend(), other.numd(), other.dend()
         return Scalar.make(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d), self.rad)
 
@@ -993,8 +981,8 @@ def _poly_radical_root(a: dict, p: int):
     if ur is None:
         raise IrrationalRootError("coefficient is not unit times rational")
     q, t = ur
-    zz = _torsion_to_cyclotomic(t / p)
-    out = poly_scale(out, zz)
+    t /= p
+    out = poly_scale(out, Cyclotomic.zeta(t.denominator, t.numerator))
     for prime, e in _factor(q.numerator).items():
         qq, r = divmod(e, p)
         if qq:
@@ -1083,62 +1071,102 @@ ONE = Scalar.make(poly_const(ONE_C), poly_const(ONE_C))
 # Eigenvalue: torsion x free abelian word
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Eigenvalue:
-    """exp(2 pi i torsion) * prod(sym^exp) with rational torsion/exponents."""
+    """exp(2 pi i k/n) * prod(sym^exp): ints 0 <= k < n, gcd(k, n) == 1, and
+    ``word`` (symbol, exponent) pairs sorted by symbol, none zero, integral
+    ones ints.  The constructor takes these as given; ``make`` normalizes."""
 
-    torsion: Fraction = Fraction(0)
-    word: tuple = ()
+    __slots__ = ("k", "n", "word")
+
+    def __init__(self, k: int = 0, n: int = 1, word: tuple = ()):
+        self.k, self.n, self.word = k, n, word
 
     @staticmethod
-    def make(torsion=Fraction(0), word=()) -> "Eigenvalue":
-        w = {}
-        for s, e in word:
-            w[s] = w.get(s, Fraction(0)) + Fraction(e)
-        return Eigenvalue(Fraction(torsion) % 1, tuple(sorted((s, e) for s, e in w.items() if e)))
+    def make(torsion=0, word=()) -> "Eigenvalue":
+        t = Fraction(torsion)
+        return Eigenvalue(t.numerator % t.denominator, t.denominator, _word(word))
 
     @staticmethod
     def one() -> "Eigenvalue":
-        return Eigenvalue()
+        return ONE_EIG
 
     @staticmethod
     def minus_one() -> "Eigenvalue":
-        return Eigenvalue(Fraction(1, 2), ())
+        return MINUS_ONE_EIG
 
     @staticmethod
     def of_torsion(t) -> "Eigenvalue":
-        return Eigenvalue(Fraction(t) % 1, ())
+        return Eigenvalue.make(t)
 
     @staticmethod
     def sym(name: str) -> "Eigenvalue":
-        return Eigenvalue(Fraction(0), ((name, Fraction(1)),))
+        return Eigenvalue(0, 1, ((name, 1),))
+
+    @property
+    def torsion(self) -> Fraction:
+        return Fraction(self.k, self.n)
 
     def __mul__(self, other: "Eigenvalue") -> "Eigenvalue":
-        return Eigenvalue.make(self.torsion + other.torsion, self.word + other.word)
+        n = self.n * other.n
+        k = (self.k * other.n + other.k * self.n) % n
+        g = gcd(k, n)
+        w1, w2 = self.word, other.word
+        return Eigenvalue(k // g, n // g, _word(w1 + w2) if w1 and w2 else w1 or w2)
 
     def __truediv__(self, other: "Eigenvalue") -> "Eigenvalue":
         return self * other.inverse()
 
     def inverse(self) -> "Eigenvalue":
-        return Eigenvalue.make(-self.torsion, tuple((s, -e) for s, e in self.word))
+        return Eigenvalue(-self.k % self.n, self.n, tuple((s, -e) for s, e in self.word))
 
     def pow(self, r) -> "Eigenvalue":
-        r = Fraction(r)
-        return Eigenvalue.make(self.torsion * r, tuple((s, e * r) for s, e in self.word))
+        """self^r for an int or a Fraction r."""
+        a, b = r.numerator, r.denominator
+        n = self.n * b
+        k = self.k * a % n
+        g = gcd(k, n)
+        return Eigenvalue(k // g, n // g,
+                          tuple((s, x) for s, e in self.word if (x := _exponent(e * a, b))))
 
     def is_one(self) -> bool:
-        return self.torsion == 0 and not self.word
+        return not self.k and not self.word
 
     def to_cyclotomic(self) -> Cyclotomic:
         if self.word:
             raise ValueError("eigenvalue with formal symbols has no cyclotomic value")
-        return _torsion_to_cyclotomic(self.torsion)
+        return Cyclotomic.zeta(self.n, self.k)
 
     def sort_key(self):
         return (self.word, self.torsion)
 
+    def __eq__(self, other):
+        return (isinstance(other, Eigenvalue) and self.k == other.k and self.n == other.n
+                and self.word == other.word)
+
+    def __hash__(self):
+        return hash((self.k, self.n, self.word))
+
     def __repr__(self):
         return f"Eigenvalue({render_eigenvalue(self)})"
+
+
+def _exponent(x, b: int = 1):
+    """x / b, x an int or a Fraction and b >= 1, as an int when integral."""
+    if type(x) is int and x % b == 0:
+        return x // b
+    x = Fraction(x, b)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _word(pairs) -> tuple:
+    """The canonical word of the product of sym^e over (sym, e) in pairs."""
+    w = {}
+    for s, e in pairs:
+        w[s] = w.get(s, 0) + e
+    return tuple(sorted((s, _exponent(e)) for s, e in w.items() if e))
+
+
+ONE_EIG, MINUS_ONE_EIG = Eigenvalue(), Eigenvalue(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1233,15 +1261,14 @@ def render_scalar(s: Scalar) -> str:
 
 def render_eigenvalue(e: Eigenvalue) -> str:
     parts = []
-    if e.torsion == Fraction(1, 2):
+    if e.n == 2:
         parts.append("-1")
-    elif e.torsion:
-        n, k = e.torsion.denominator, e.torsion.numerator
-        parts.append(f"zeta({n})" + (f"^{k}" if k != 1 else ""))
+    elif e.k:
+        parts.append(f"zeta({e.n})" + (f"^{e.k}" if e.k != 1 else ""))
     for s, ex in e.word:
         if ex == 1:
             parts.append(s)
-        elif ex.denominator == 1:
+        elif type(ex) is int:
             parts.append(f"{s}^{ex}")
         else:
             parts.append(f"{s}^({render_fraction(ex)})")

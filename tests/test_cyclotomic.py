@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_cyclotomic as ref
-from katz_forge.scalars import Cyclotomic, render_cyclotomic
+from katz_forge.scalars import Cyclotomic, _subfield_projection, render_cyclotomic
 
 ORDERS = st.integers(1, 24)
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -122,3 +122,18 @@ def test_inverse_is_conjugates_over_norm(drawn):
         return
     same(a.inverse(), ra.inverse())
     assert a * a.inverse() == 1
+
+
+def test_subfield_projection_is_unit_vector_solves():
+    """Read row j of the tables over d is the solution of cols x = e_j with
+    free coordinates 0, solved on its own by the reference solver."""
+    for n in range(2, 49):
+        for m in range(1, n):
+            if n % m:
+                continue
+            cols = [list(c) for c in ref._subfield_basis(n, m)]
+            _, reads, d = _subfield_projection(n, m)
+            assert len(reads) == len(cols)
+            for j, row in enumerate(reads):
+                x = ref._solve_linear(cols, [Fraction(int(i == j)) for i in range(len(cols))])
+                assert {i: Fraction(c, d) for i, c in row} == {i: v for i, v in enumerate(x) if v}

@@ -23,10 +23,27 @@ with open(golden_path("l1.json")) as fh:
     L1 = json.load(fh)
 
 
+with open(golden_path("e2.json")) as fh:
+    E2 = json.load(fh)
+
+
 def _l1_with(key, point):
     d = copy.deepcopy(L1)
     d["points"][key] = point
     return d
+
+
+def _e2_with(path, value):
+    """e2 with the entry at path, a sequence of keys and indices, set to value."""
+    d = copy.deepcopy(E2)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+E2_EL = ("points", "inf", "irregular", 0)
 
 
 DESCRIPTORS = {
@@ -40,6 +57,15 @@ DESCRIPTORS = {
         {"p": 2, "c": "1", "phi": {"-1": "a1"}, "R": []}]}),
     # "a1*a1" and "a1^2" parse to the same point
     "same_point_twice": _l1_with("a1*a1", {"regular": [["-l", 1]], "irregular": []}),
+    # numbers that are not JSON integers, which int() would truncate to a
+    # valid descriptor
+    "rank_not_integer": _e2_with(("rank",), 7.5),
+    "jordan_block_size_not_integer": _e2_with(("points", "0", "regular", 0, 1), 3.4),
+    "p_not_integer": _e2_with(E2_EL + ("p",), 2.5),
+    "jordan_block_size_true": _e2_with(E2_EL + ("R", 0, 1), True),
+    # phi keys "1" and "0" are pole orders -1 and 0: not tail terms
+    "phi_pole_order_negative": _e2_with(E2_EL + ("phi",), {"1": "a1"}),
+    "phi_pole_order_zero": _e2_with(E2_EL + ("phi",), {"0": "a1"}),
 }
 
 ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
