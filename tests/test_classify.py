@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from katz_forge.scalars import parse_eigenvalue
@@ -10,6 +12,7 @@ from katz_forge.classify import (enumerate_slope_profiles, candidate_shapes,
                                  classification_descriptor, CLASSIFICATION_ROWS, _prof)
 
 E = parse_eigenvalue
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins")
 
 
 def eigs(*txt):
@@ -212,3 +215,20 @@ class TestCandidateShapes:
             ft = s.formal_type(classify._reg_patterns(s.reg_rank)[0])
             assert ft.rank() == 7
             assert ft.checks()["self_dual"] or "pair" in s.label or "pole2" in s.label
+
+
+def sweep_record() -> str:
+    """Per profile of the candidate sweep: the shape count, then each shape's
+    label, sorted irr and sorted soln, one line each."""
+    lines = []
+    for profile, rec in computed_local_invariants().items():
+        prof = ", ".join(f"{s} on {d}" for s, d in profile)
+        lines.append(f"{prof}: {len(rec['shapes'])} shapes")
+        lines += [f"   {label} irr {sorted(irr)} soln {sorted(soln)}"
+                  for label, irr, soln in rec["shapes"]]
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_matches_pin():
+    with open(os.path.join(PINS, "local_invariants.txt"), newline="") as fh:
+        assert sweep_record() == fh.read()
