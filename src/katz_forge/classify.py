@@ -19,9 +19,10 @@ Three layers:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from .scalars import Scalar, Eigenvalue, ONE
 from .jordan import JordanData, parse_jordan
@@ -42,71 +43,30 @@ from .formal_type import FormalType, parse_formal_type
 #   - bounds: dimension <= 6 (one regular dimension is always present).
 
 def _slope_part_dims(k: int) -> list:
-    out = []
-    for d in range(k, 7, k):
-        if k % 2 == 1 and (d // k) % 2 == 1:
-            continue
-        out.append(d)
-    return out
+    return [d for d in range(k, 7, k) if k % 2 == 0 or (d // k) % 2 == 0]
 
 
 def enumerate_slope_profiles() -> list:
     """The possible (slope multiset, dimension multiset) rows: irregular
     slope parts summing to 4 or 6 (regular part 3 or 1), filtered by the
     highest-slope multiplicity criterion (a/b filling b dimensions forces
-    b = 6)."""
-    ks = [1, 2, 3, 4, 6]
-    profiles = set()
-    parts_by_k = {k: _slope_part_dims(k) for k in ks}
-    for nslopes in (1, 2, 3):
-        for combo in combinations_with_replacement(ks, nslopes):
-            if len(set(combo)) != len(combo):
-                continue
-            stacks = [[(k, d) for d in parts_by_k[k]] for k in combo]
-            def rec(i, acc, total):
-                if total > 6:
-                    return
-                if i == len(stacks):
-                    if total in (4, 6):
-                        profiles.add(tuple(sorted(acc)))
-                    return
-                for kd in stacks[i]:
-                    rec(i + 1, acc + [kd], total + kd[1])
-            rec(0, [], 0)
+    b = 6), in the order of the printed table."""
     out = []
-    for prof in profiles:
-        slopes = [(Fraction(1, k), d) for k, d in prof]
-        top = max(s for s, _ in slopes)
-        top_dim = sum(d for s, d in slopes if s == top)
-        if top_dim == top.denominator and top.denominator != 6:
-            continue
-        out.append(tuple(sorted(slopes)))
-    return sorted(out, key=_table_order)
-
-
-def _table_order(profile):
-    try:
-        return _PROFILE_ORDER.index(profile)
-    except ValueError:
-        return len(_PROFILE_ORDER)
+    for n in (1, 2, 3):
+        for ks in combinations((1, 2, 3, 4, 6), n):
+            for dims in product(*map(_slope_part_dims, ks)):
+                if sum(dims) not in (4, 6):
+                    continue
+                prof = tuple(sorted((Fraction(1, k), d) for k, d in zip(ks, dims)))
+                top, top_dim = prof[-1]  # slopes are distinct: the highest is last
+                if top_dim == top.denominator and top.denominator != 6:
+                    continue
+                out.append(prof)
+    return sorted(out, key=list(_PUBLISHED_TABLE).index)
 
 
 def _prof(*pairs):
     return tuple(sorted((Fraction(1, k), d) for k, d in pairs))
-
-
-_PROFILE_ORDER = [
-    _prof((1, 4)),
-    _prof((1, 6)),
-    _prof((2, 2), (1, 2)),
-    _prof((2, 2), (1, 4)),
-    _prof((2, 4), (1, 2)),
-    _prof((2, 4)),
-    _prof((2, 6)),
-    _prof((3, 6)),
-    _prof((4, 4), (1, 2)),
-    _prof((6, 6)),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -129,32 +89,18 @@ class CandidateShape:
         return FormalType.make(reg_pattern, list(self.summands))
 
 
-class _Names:
-    def __init__(self):
-        self.n = 0
-
-    def tail(self) -> Scalar:
-        self.n += 1
-        return Scalar.sym(f"b{self.n}")
-
-    def eig(self) -> Eigenvalue:
-        self.n += 1
-        return Eigenvalue.sym(f"m{self.n}")
-
-
-def _jordan_patterns(rank: int, names: _Names, self_dual: bool) -> list:
-    """Representative Jordan patterns per centralizer value."""
+def _jordan_patterns(rank: int, first: int, self_dual: bool) -> list:
+    """Representative Jordan patterns per centralizer value, with free
+    eigenvalues named m<first+1> and m<first+2>."""
     one = Eigenvalue.one()
     minus = Eigenvalue.minus_one()
+    m = Eigenvalue.sym(f"m{first + 1}")
     if rank == 1:
-        return [JordanData.make([(names.eig() if not self_dual else minus, 1)])]
+        return [JordanData.make([(minus if self_dual else m, 1)])]
     if rank == 2:
-        m = names.eig()
-        pats = [JordanData.make([(m, 1), (m.inverse() if self_dual else names.eig(), 1)]),
-                JordanData.make([(one, 1), (one, 1)])]
-        return pats
+        other = m.inverse() if self_dual else Eigenvalue.sym(f"m{first + 2}")
+        return [JordanData.make([(m, 1), (other, 1)]), JordanData.make([(one, 1), (one, 1)])]
     if rank == 3:
-        m = names.eig()
         return [
             JordanData.make([(m, 1), (m.inverse(), 1), (one, 1)]),
             JordanData.make([(one, 1), (one, 1), (minus, 1)]),
@@ -165,94 +111,37 @@ def _jordan_patterns(rank: int, names: _Names, self_dual: bool) -> list:
 
 def _slot_decomps(k: int, total_r: int) -> list:
     """Multisets of slots filling total R-rank total_r at slope 1/k.
-    Slots: ("sd", r) self-dual piece (even k only), ("pair", r) dual pair."""
-    out = set()
-
-    def rec(rem, acc):
-        if rem == 0:
-            out.add(tuple(sorted(acc)))
-            return
-        if k % 2 == 0:
-            for r in range(1, rem + 1):
-                rec(rem - r, acc + [("sd", r)])
-        for r in range(1, rem // 2 + 1):
-            rec(rem - 2 * r, acc + [("pair", r)])
-
-    rec(total_r, [])
-    return sorted(out)
+    Slots: ("sd", r) self-dual piece of R-rank r (even k only), ("pair", r)
+    dual pair of R-rank 2r."""
+    slots = [("pair", r) for r in range(1, total_r // 2 + 1)]
+    if k % 2 == 0:
+        slots += [("sd", r) for r in range(1, total_r + 1)]
+    return sorted(dec for n in range(1, total_r + 1)
+                  for dec in combinations_with_replacement(sorted(slots), n)
+                  if sum(r if kind == "sd" else 2 * r for kind, r in dec) == total_r)
 
 
 def candidate_shapes(profile) -> list:
     """All q=1 shapes for a profile, plus the two pole-order-2 special
-    combinations in the profiles where they occur."""
+    combinations in the profiles where they occur.  Slot i (from 1) has
+    tail b<i> and pattern eigenvalues named from 100 + 10*(i-1)."""
     reg_rank = 7 - sum(d for _, d in profile)
-    per_slope = []
-    for slope, d in profile:
-        k = slope.denominator
-        per_slope.append([(k, dec) for dec in _slot_decomps(k, d // k)])
     shapes = []
-
-    def rec(i, acc):
-        if i == len(per_slope):
-            shapes.append(list(acc))
-            return
-        for k, dec in per_slope[i]:
-            rec(i + 1, acc + [(k, dec)])
-
-    rec(0, [])
-    out = []
-    for shape in shapes:
-        names = _Names()
-        summands = []
-        label_bits = []
-        pattern_slots = []
-        ok = True
-        for k, dec in shape:
-            for kind, r in dec:
-                if kind == "sd" and k % 2 == 1:
-                    ok = False
-                    break
-                b = names.tail()
-                pattern_slots.append((kind, r, k, b))
-                label_bits.append(f"{kind}{r}@1/{k}")
-            if not ok:
-                break
-        if not ok:
-            continue
-        out.append((pattern_slots, reg_rank, "+".join(label_bits), profile))
-    built = [_build_shapes(slots, reg, lab, prof) for slots, reg, lab, prof in out]
-    result = []
-    for group in built:
-        result.extend(group)
-    result.extend(_special_pole2_shapes(profile, reg_rank))
-    return result
-
-
-def _build_shapes(slots, reg_rank, label, profile) -> list:
-    """Expand a slot list into CandidateShapes, one per R-pattern choice."""
-    choice_lists = []
-    for kind, r, k, b in slots:
-        names = _Names()
-        names.n = 100 + len(choice_lists) * 10
-        pats = _jordan_patterns(r, names, self_dual=(kind == "sd"))
-        choice_lists.append(pats)
-
-    shapes = []
-
-    def rec(i, acc):
-        if i == len(slots):
+    for decs in product(*(_slot_decomps(s.denominator, d // s.denominator)
+                          for s, d in profile)):
+        slots = [(kind, r, s.denominator)
+                 for (s, _), dec in zip(profile, decs) for kind, r in dec]
+        label = "+".join(f"{kind}{r}@1/{k}" for kind, r, k in slots)
+        for pats in product(*(_jordan_patterns(r, 100 + 10 * i, kind == "sd")
+                              for i, (kind, r, _) in enumerate(slots))):
             summands = []
-            for (kind, r, k, b), pat in zip(slots, acc):
+            for i, ((kind, _, k), pat) in enumerate(zip(slots, pats), 1):
+                b = Scalar.sym(f"b{i}")
                 summands.append(El(k, b, pat))
                 if kind == "pair":
                     summands.append(El(k, -b, pat.dual()))
             shapes.append(CandidateShape(profile, reg_rank, label, tuple(summands)))
-            return
-        for pat in choice_lists[i]:
-            rec(i + 1, acc + [pat])
-
-    rec(0, [])
-    return shapes
+    return shapes + _special_pole2_shapes(profile, reg_rank)
 
 
 def _special_pole2_shapes(profile, reg_rank) -> list:
@@ -273,32 +162,19 @@ def _special_pole2_shapes(profile, reg_rank) -> list:
     return []
 
 
-def _reg_patterns(rank: int) -> list:
-    names = _Names()
-    names.n = 200
-    if rank == 0:
-        return [JordanData.zero()]
-    return _jordan_patterns(rank, names, self_dual=True)
-
-
 def computed_local_invariants() -> dict:
-    """Honest per-profile value sets computed with the Hom machinery."""
+    """Honest per-profile value sets computed with the Hom machinery: each
+    shape's End over the regular patterns (eigenvalues from m201)."""
     out = {}
     for profile in enumerate_slope_profiles():
-        soln, irr = set(), set()
         per_shape = []
         for shape in candidate_shapes(profile):
-            shape_soln = set()
-            shape_irr = set()
-            for regpat in _reg_patterns(shape.reg_rank):
-                ft = shape.formal_type(regpat)
-                end = ft.end()
-                shape_soln.add(end.soln_dim())
-                shape_irr.add(end.irregularity())
-            soln |= shape_soln
-            irr |= shape_irr
-            per_shape.append((shape.label, frozenset(shape_irr), frozenset(shape_soln)))
-        out[profile] = {"soln": frozenset(soln), "irr": frozenset(irr),
+            ends = [shape.formal_type(rp).end()
+                    for rp in _jordan_patterns(shape.reg_rank, 200, True)]
+            per_shape.append((shape.label, frozenset(e.irregularity() for e in ends),
+                              frozenset(e.soln_dim() for e in ends)))
+        out[profile] = {"soln": frozenset().union(*(sol for _, _, sol in per_shape)),
+                        "irr": frozenset().union(*(irr for _, irr, _ in per_shape)),
                         "shapes": tuple(per_shape)}
     return out
 
@@ -445,17 +321,12 @@ def g2_pattern_check(eigs) -> bool:
     """True iff the size-7 multiset equals {1, a, b, ab, a^-1, b^-1, (ab)^-1}
     for some a, b (necessary condition on semisimple parts of elements of
     the standard 7-dimensional representation)."""
-    eigs = sorted(eigs, key=lambda e: e.sort_key())
-    if len(eigs) != 7:
+    target = Counter(eigs)
+    if sum(target.values()) != 7:
         raise ValueError("pattern check needs a multiset of size 7")
-    target = eigs
-    for a in eigs:
-        for b in eigs:
-            pat = [Eigenvalue.one(), a, b, a * b, a.inverse(), b.inverse(),
-                   (a * b).inverse()]
-            if sorted(pat, key=lambda e: e.sort_key()) == target:
-                return True
-    return False
+    one = Eigenvalue.one()
+    return any(Counter([one, a, b, a * b, a.inverse(), b.inverse(), (a * b).inverse()])
+               == target for a in target for b in target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 check failure (including contradiction outcomes
-under `replay`), 2 usage or malformed input, 3 out-of-scope input.
+of `replay`, `fourier`, `mc` and `twist`), 2 usage or malformed input, 3
+out-of-scope input.  Errors are mapped to these codes once, in `main`.
 """
 
 from __future__ import annotations
@@ -32,26 +33,26 @@ def golden_path(name: str) -> str:
     return os.path.join(golden_dir(), name)
 
 
-def _load(path: str) -> ConnectionDescriptor:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return fh.read()
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"no such file: {path}") from None
+
+
+def _load(path: str) -> ConnectionDescriptor:
+    try:
+        data = json.loads(_read(path))
     except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON in {path} at line {exc.lineno} column "
-              f"{exc.colno} (char {exc.pos}): {exc.msg}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"malformed JSON in {path} at line {exc.lineno} column "
+                         f"{exc.colno} (char {exc.pos}): {exc.msg}") from None
     try:
         c = descriptor_from_json(data)
     except Exception as exc:
-        print(f"error: malformed descriptor in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"malformed descriptor in {path}: {exc}") from None
     if not c.points:
-        print(f"error: malformed descriptor in {path}: no singular points",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"malformed descriptor in {path}: no singular points")
     return c
 
 
@@ -115,20 +116,8 @@ def _print_descriptor(c: ConnectionDescriptor, as_json: bool):
 
 def cmd_replay(args) -> int:
     c = _load(args.descriptor)
-    try:
-        with open(args.script) as fh:
-            steps = parse_script(fh.read())
-    except FileNotFoundError:
-        print(f"error: no such file: {args.script}", file=sys.stderr)
-        return 2
-    try:
-        trace = run_script(c, steps)
-    except ContradictionError as exc:
-        print(f"contradiction: {exc.report}")
-        return 1
-    except OutOfScopeError as exc:
-        print(f"out of scope: {exc}", file=sys.stderr)
-        return 3
+    steps = parse_script(_read(args.script))
+    trace = run_script(c, steps)
     labels = ["start"] + [s.op for s in steps]
     if args.trace and args.json:
         # JSON lines, one record per step; the last holds the final descriptor
@@ -146,19 +135,7 @@ def cmd_replay(args) -> int:
 
 
 def _single_op(args, fn) -> int:
-    c = _load(args.descriptor)
-    try:
-        out = fn(c)
-    except ContradictionError as exc:
-        print(f"contradiction: {exc.report}")
-        return 1
-    except OutOfScopeError as exc:
-        print(f"out of scope: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_descriptor(out, args.json)
+    _print_descriptor(fn(_load(args.descriptor)), args.json)
     return 0
 
 
@@ -253,13 +230,8 @@ def cmd_pullback(args) -> int:
             for k, v in rep.items():
                 print(f"  {k}: {v}")
         return 0 if rep["ok"] else 1
-    c = _load(args.descriptor)
-    try:
-        out = classify.kummer_pullback_descriptor(c, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_descriptor(out, args.json)
+    _print_descriptor(classify.kummer_pullback_descriptor(_load(args.descriptor), args.k),
+                      args.json)
     return 0
 
 
@@ -324,11 +296,15 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except OutOfScopeError as exc:
+    except ContradictionError as exc:
+        print(f"contradiction: {exc.report}")
+        return 1
+    except OutOfScopeError as exc:  # a ValueError: caught first
         print(f"out of scope: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ class ElementaryModule:
     def make(p: int, coeff: Scalar, tail, r: JordanData) -> "ElementaryModule":
         if isinstance(tail, dict):
             tail = _tail_pack(tail)
+        if p < 1:
+            raise ValueError(f"ramification order p must be at least 1, got {p}")
         if tail and tail[0][0] < 1:
             raise ValueError(f"pole order must be at least 1, got {tail[0][0]}")
         if coeff.is_zero():
@@ -181,10 +183,6 @@ class ElementaryModule:
                 tail[i * kk] = a.times_unit(e.p, -i * j % e.p)
             out.append(ElementaryModule.make(pp, ONE, tail, e.r.pull(kk)).normalize())
         return out
-
-    def sort_key(self):
-        return (self.p, tuple((j, a.sort_key()) for j, a in self.tail),
-                self.r.sort_key(), self.coeff.sort_key())
 
     def __repr__(self):
         return f"ElementaryModule({render_elementary(self)})"

@@ -227,17 +227,17 @@ def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
         if e.slope() < 1:
             e = epsilon_twist_inf(e)
         s, payload = lft_inf_to_s(e)
-        ft0 = van.setdefault(s.sort_key(), [s, JordanData.zero(), []])
+        ft0 = van.setdefault(s, [JordanData.zero(), []])
         if isinstance(payload, JordanData):
-            ft0[1] = ft0[1] + payload
+            ft0[0] = ft0[0] + payload
         else:
-            ft0[2].append(payload)
+            ft0[1].append(payload)
     if c.inf_type().regular.rank():
         s = Scalar.rational(0)
-        ft0 = van.setdefault(s.sort_key(), [s, JordanData.zero(), []])
-        ft0[1] = ft0[1] + c.inf_type().regular
+        ft0 = van.setdefault(s, [JordanData.zero(), []])
+        ft0[0] = ft0[0] + c.inf_type().regular
     pts = {}
-    for _, (s, vreg, vels) in van.items():
+    for s, (vreg, vels) in van.items():
         pts[s] = _nearby_type(vreg, vels, h_new, lambda needed, vanishing: (
             f"rank mismatch: transform has generic rank {h_new} but the "
             f"formal type at {render_scalar(s)} would need rank "
@@ -293,38 +293,48 @@ class ScriptStep:
 
 
 def parse_script(text: str):
+    """The steps of a construction script; a malformed line raises
+    ValueError naming the line."""
     steps = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "twist":
-            if ":" in rest:
-                pairs = []
-                for chunk in rest.split(","):
-                    loc_s, _, eig_s = chunk.rpartition(":")
-                    pairs.append((loc_s.strip(), parse_eigenvalue(eig_s.strip())))
-                steps.append(ScriptStep("twist", ("named", tuple(pairs))))
-            else:
-                eigs = tuple(parse_eigenvalue(x.strip()) for x in rest.split(","))
-                steps.append(ScriptStep("twist", ("positional", eigs)))
-        elif head == "moebius":
-            parts = rest.split()
-            if parts[0] == "inv":
-                steps.append(ScriptStep("moebius", ("inv",)))
-            elif parts[0] == "affine":
-                steps.append(ScriptStep("moebius", ("affine", parse_scalar(parts[1]), parse_scalar(parts[2]) if len(parts) > 2 else ZERO)))
-            else:
-                raise ValueError(f"line {ln}: unknown moebius kind {parts[0]!r}")
-        elif head == "fourier":
-            steps.append(ScriptStep("fourier", ()))
-        elif head == "mc":
-            steps.append(ScriptStep("mc", (parse_eigenvalue(rest),)))
-        else:
-            raise ValueError(f"line {ln}: unknown operation {head!r}")
+        if line:
+            try:
+                steps.append(_parse_step(line))
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: {exc}") from None
     return steps
+
+
+def _parse_step(line: str) -> ScriptStep:
+    head, _, rest = line.partition(" ")
+    rest = rest.strip()
+    if head == "twist":
+        if ":" in rest:
+            pairs = []
+            for chunk in rest.split(","):
+                loc_s, _, eig_s = chunk.rpartition(":")
+                pairs.append((loc_s.strip(), parse_eigenvalue(eig_s.strip())))
+            return ScriptStep("twist", ("named", tuple(pairs)))
+        eigs = tuple(parse_eigenvalue(x.strip()) for x in rest.split(","))
+        return ScriptStep("twist", ("positional", eigs))
+    if head == "moebius":
+        parts = rest.split()
+        if not parts:
+            raise ValueError("moebius needs a kind, inv or affine")
+        if parts[0] == "inv":
+            return ScriptStep("moebius", ("inv",))
+        if parts[0] == "affine":
+            if len(parts) not in (2, 3):
+                raise ValueError("moebius affine needs A and an optional B")
+            b = parse_scalar(parts[2]) if len(parts) > 2 else ZERO
+            return ScriptStep("moebius", ("affine", parse_scalar(parts[1]), b))
+        raise ValueError(f"unknown moebius kind {parts[0]!r}")
+    if head == "fourier":
+        return ScriptStep("fourier", ())
+    if head == "mc":
+        return ScriptStep("mc", (parse_eigenvalue(rest),))
+    raise ValueError(f"unknown operation {head!r}")
 
 
 def apply_step(c: ConnectionDescriptor, step: ScriptStep) -> ConnectionDescriptor:

@@ -47,7 +47,9 @@ class FormalType:
                                                normal=True)
             else:
                 merged[key] = e
-        els = tuple(sorted(merged.values(), key=lambda e: e.sort_key()))
+        # (p, tail) is the merge key, so it alone orders the members
+        els = tuple(merged[k] for k in sorted(
+            merged, key=lambda k: (k[0], tuple((j, a.sort_key()) for j, a in k[1]))))
         return FormalType(reg, els)
 
     @staticmethod
@@ -172,9 +174,6 @@ class FormalType:
     def scale(self, eig: Eigenvalue) -> "FormalType":
         return FormalType.make(self.regular.scale(eig),
                                [e.scale_eigenvalues(eig) for e in self.irregular])
-
-    def sort_key(self):
-        return (self.regular.sort_key(), tuple(e.sort_key() for e in self.irregular))
 
     def __repr__(self):
         return f"FormalType({render_formal_type(self)})"

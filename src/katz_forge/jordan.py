@@ -90,10 +90,8 @@ class JordanData:
         return JordanData.make([(e * eig, s) for e, s in self.blocks])
 
     def eigenvalue_multiset(self):
-        out = []
-        for e, s in self.blocks:
-            out.extend([e] * s)
-        return sorted(out, key=lambda x: x.sort_key())
+        """The eigenvalues with multiplicity, in block (sort_key) order."""
+        return [e for e, s in self.blocks for _ in range(s)]
 
     # -- functors -------------------------------------------------------------
     def tensor(self, other: "JordanData") -> "JordanData":
@@ -137,9 +135,6 @@ class JordanData:
             for j in range(p):
                 out.append((root * Eigenvalue.of_torsion(Fraction(j, p)), s))
         return JordanData.make(out)
-
-    def sort_key(self):
-        return tuple((e.sort_key(), s) for e, s in self.blocks)
 
     def __repr__(self):
         return f"JordanData({render_jordan(self)})"
@@ -202,22 +197,19 @@ def _parse_jordan_entry(ent: str):
     import re
     m = re.search(r"J\((\d+)\)\s*$", ent)
     if m:
-        size = int(m.group(1))
-        head = ent[: m.start()].strip()
-        eig = parse_eigenvalue(head) if head and head != "+" else Eigenvalue.one()
-        if head == "-":
-            eig = Eigenvalue.minus_one()
-        return [(eig, size)]
+        return [(_entry_head(ent[: m.start()]), int(m.group(1)))]
     m = re.search(r"E_?(\d+)\s*$", ent)
     if m:
-        n = int(m.group(1))
-        head = ent[: m.start()].strip()
-        head = head.rstrip("*")
-        if head in ("", "+"):
-            eig = Eigenvalue.one()
-        elif head == "-":
-            eig = Eigenvalue.minus_one()
-        else:
-            eig = parse_eigenvalue(head)
-        return [(eig, 1)] * n
+        return [(_entry_head(ent[: m.start()]), 1)] * int(m.group(1))
     return [(parse_eigenvalue(ent), 1)]
+
+
+def _entry_head(head: str) -> Eigenvalue:
+    """The eigenvalue written before J(n) or E<n>, an optional `*` between:
+    none or `+` is 1 and `-` is -1."""
+    head = head.strip().rstrip("*").strip()
+    if head in ("", "+"):
+        return Eigenvalue.one()
+    if head == "-":
+        return Eigenvalue.minus_one()
+    return parse_eigenvalue(head)

@@ -1415,15 +1415,24 @@ def _parse_atom(tok: _Tok) -> Scalar:
     if not name:
         raise ValueError(f"parse error at {tok.pos} in {tok.text!r}")
     if name == "zeta":
-        tok.take("(")
-        n = tok.number()
-        tok.take(")")
-        k = 1
-        if tok.peek() == "^":
-            tok.take()
-            k = int(_parse_exponent(tok))
-        return Scalar.zeta(n, k)
+        n = _zeta_order(tok)
+        if tok.peek() != "^":
+            return Scalar.zeta(n)
+        tok.take()
+        e = _parse_exponent(tok)
+        # an integer power is a table lookup, a fractional one a root of it
+        return Scalar.zeta(n, e.numerator).root(e.denominator)
     return Scalar.sym(name)
+
+
+def _zeta_order(tok: _Tok) -> int:
+    """The n of zeta(n), after the name."""
+    tok.take("(")
+    n = tok.number()
+    tok.take(")")
+    if n < 1:
+        raise ValueError(f"zeta({n}) needs an order of at least 1 in {tok.text!r}")
+    return n
 
 
 def parse_eigenvalue(text: str) -> Eigenvalue:
@@ -1475,11 +1484,10 @@ def _parse_eig_factor(tok: _Tok) -> Eigenvalue:
             raise ValueError("only 1 and roots of unity are numeric eigenvalues")
     else:
         name = tok.ident()
+        if not name:
+            raise ValueError(f"parse error at {tok.pos} in eigenvalue {tok.text!r}")
         if name == "zeta":
-            tok.take("(")
-            n = tok.number()
-            tok.take(")")
-            base = Eigenvalue.of_torsion(Fraction(1, n))
+            base = Eigenvalue.of_torsion(Fraction(1, _zeta_order(tok)))
         elif name == "i":
             base = Eigenvalue.of_torsion(Fraction(1, 4))
         else:

@@ -212,7 +212,7 @@ class TestCandidateShapes:
         assert any("sd3" in l for l in labels)
         assert any(l.count("sd1") == 3 for l in labels)
         for s in shapes:
-            ft = s.formal_type(classify._reg_patterns(s.reg_rank)[0])
+            ft = s.formal_type(classify._jordan_patterns(s.reg_rank, 200, True)[0])
             assert ft.rank() == 7
             assert ft.checks()["self_dual"] or "pair" in s.label or "pole2" in s.label
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from katz_forge.cli import main, golden_path
 
 
@@ -177,6 +179,42 @@ class TestPullback:
             assert code == 2
             assert err.startswith("error: ") and "Gm" in err
             assert out == ""
+
+
+class TestErrorBoundary:
+    """Malformed input to any command is one `error:` line and exit 2, never
+    a traceback (exit 1 is kept for check failures and contradictions)."""
+
+    SCRIPTS = {
+        "unknown_operation": ("frobnicate\n", "line 1: unknown operation 'frobnicate'"),
+        "moebius_without_kind": ("fourier\nmoebius\n", "line 2: moebius needs a kind"),
+        "twist_wrong_arity": ("twist 1\n", "step 1 (twist): twist arity 1"),
+        "moebius_affine_0": ("moebius affine 0\n", "step 1 (moebius): affine map needs a != 0"),
+    }
+
+    @staticmethod
+    def _error(code, out, err, reason):
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(SCRIPTS))
+    def test_replay_script(self, name, tmp_path, capsys):
+        text, reason = self.SCRIPTS[name]
+        s = tmp_path / "bad.script"
+        s.write_text(text)
+        self._error(*invoke(capsys, "replay", str(s), golden_path("l1.json")), reason)
+
+    def test_mc_numeric_eigenvalue(self, capsys):
+        self._error(*invoke(capsys, "mc", "2", golden_path("l1.json")),
+                    "only 1 and roots of unity")
+
+    def test_check_directory(self, tmp_path, capsys):
+        self._error(*invoke(capsys, "check", str(tmp_path)), "[Errno")
+
+    def test_missing_script_message(self, capsys):
+        self._error(*invoke(capsys, "replay", "/nonexistent/x.script", golden_path("l1.json")),
+                    "no such file: /nonexistent/x.script")
 
 
 class TestDeterminism:

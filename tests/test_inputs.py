@@ -16,6 +16,8 @@ import pytest
 
 from katz_forge.cli import golden_path, main
 from katz_forge.elementary import parse_elementary
+from katz_forge.jordan import parse_jordan
+from katz_forge.scalars import Scalar, parse_eigenvalue, parse_scalar
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -69,7 +71,18 @@ DESCRIPTORS = {
 }
 
 ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
-              "El(2, a1, ())", "El(2, a1, (xJ(0)))"]
+              "El(2, a1, ())", "El(2, a1, (xJ(0)))",
+              # ramification orders below 1
+              "El(0, a1, (1))", "El(-2, a1, (1))", "El(u^0, a1, (1))"]
+
+# an empty factor is no symbol; zeta(0) is no root of unity
+EIGENVALUES = ["", "-", "x*", "()", "1*", "x/", "zeta(0)"]
+SCALARS = ["zeta(0)", "zeta(0)^2"]
+
+# (written form, form it must equal): a `*` before J(n) or E<n> is optional
+# and a zeta power may be fractional
+JORDAN_EQUAL = [("(x*J(2))", "(xJ(2))"), ("(zeta(3)*J(2))", "(zeta(3)J(2))"),
+                ("(-J(2))", "(-1J(2))"), ("(x*E2)", "(x, x)"), ("(-E2)", "(-1, -1)")]
 
 # library calls that must raise ValueError: each row is an expression over
 # the names of CALLS_SETUP
@@ -133,10 +146,43 @@ def test_same_point_names_both_keys(files, capsys):
     assert "'a1*a1'" in err and "'a1^2'" in err
 
 
+@pytest.mark.parametrize("p", [0, -2])
+def test_ramification_below_1_names_p(p, tmp_path, capsys):
+    path = tmp_path / "e2_p.json"
+    path.write_text(json.dumps(_e2_with(E2_EL + ("p",), p)))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert _typed_error(err)
+    assert f"p must be at least 1, got {p}" in err
+
+
 @pytest.mark.parametrize("text", ELEMENTARY)
 def test_parse_elementary_raises(text):
     with pytest.raises(ValueError, match=".+"):
         parse_elementary(text)
+
+
+@pytest.mark.parametrize("text", EIGENVALUES)
+def test_parse_eigenvalue_raises(text):
+    with pytest.raises(ValueError, match=".+"):
+        parse_eigenvalue(text)
+
+
+@pytest.mark.parametrize("text", SCALARS)
+def test_parse_scalar_raises(text):
+    with pytest.raises(ValueError, match=".+"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text,same", JORDAN_EQUAL)
+def test_jordan_entry_head(text, same):
+    assert parse_jordan(text) == parse_jordan(same)
+
+
+def test_fractional_zeta_power():
+    assert parse_scalar("zeta(3)^(1/2)") == Scalar.zeta(3).root(2) == Scalar.zeta(6)
+    assert parse_scalar("zeta(3)^(-1/2)") == Scalar.zeta(3, -1).root(2)
+    assert parse_scalar("zeta(3)^2") == Scalar.zeta(3, 2)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
