@@ -352,11 +352,9 @@ CLASSIFICATION_ROWS = (
 )
 
 # The extra candidate carries the same infinity type as the e2 row but is
-# excluded by the adjoint-representation invariant at 0: the two published
-# values below disagree (Table-4 data of the regular-case classification,
-# out of scope to derive).
+# excluded by the adjoint-representation invariant at 0, where the two
+# differ (the published values 6 and 8 of the regular-case classification).
 EXCLUDED_ROW = ("excluded", "(zeta(3)E3, zeta(3)^2E3, 1)", E2_INF)
-ADJOINT_DIM_AT_ZERO = {"e2": 6, "excluded": 8}
 
 # Lambda^3 Euler characteristics are computed for the families constructed
 # via the exterior-power argument (the hypergeometric family e4_* is handled
@@ -371,6 +369,12 @@ def classification_descriptor(name: str):
     return ConnectionDescriptor.make(
         {Scalar.rational(0): FormalType.regular_only(parse_jordan(z)),
          "inf": parse_formal_type(i)}, 7)
+
+
+def adjoint_dim_at_zero(name: str) -> int:
+    """dim of the invariants on g2 of the monodromy J at 0: Lambda^2 V7 = g2 + V7."""
+    j = parse_jordan(next(z for n, z, _ in CLASSIFICATION_ROWS + (EXCLUDED_ROW,) if n == name))
+    return j.exterior(2).invariants_dim() - j.invariants_dim()
 
 
 def verify_row(name: str) -> dict:
@@ -394,11 +398,9 @@ def verify_row(name: str) -> dict:
         chi = euler_char_middle(c, fam)
         checks["lambda3_chi"] = chi
         checks["lambda3_ok"] = chi >= 1
-    if name in ADJOINT_DIM_AT_ZERO and name != "e2":
-        ref = ADJOINT_DIM_AT_ZERO["e2"]
-        val = ADJOINT_DIM_AT_ZERO[name]
-        checks["adjoint_dim"] = val
-        checks["adjoint_ok"] = val == ref
+    if name == "excluded":
+        checks["adjoint_dim"] = adjoint_dim_at_zero(name)
+        checks["adjoint_ok"] = checks["adjoint_dim"] == adjoint_dim_at_zero("e2")
     keys = [k for k in checks if k.endswith("_ok")] + ["self_dual", "det_trivial",
                                                        "pattern_zero", "pattern_inf"]
     checks["pass"] = all(bool(checks[k]) for k in keys)

@@ -12,12 +12,10 @@ import json
 import os
 import sys
 
-from .scalars import parse_eigenvalue, parse_scalar
+from .scalars import OutOfScopeError
 from .formal_type import render_formal_type
-from .fourier import OutOfScopeError
-from .engine import (ConnectionDescriptor, ContradictionError, INF,
-                     descriptor_from_json, descriptor_to_json,
-                     op_fourier, op_middle_convolution, op_twist, parse_script,
+from .engine import (ConnectionDescriptor, ContradictionError,
+                     descriptor_from_json, descriptor_to_json, parse_script, parse_step,
                      render_location, rigidity_from_ends, run_script)
 from . import classify
 
@@ -49,6 +47,8 @@ def _load(path: str) -> ConnectionDescriptor:
                          f"{exc.colno} (char {exc.pos}): {exc.msg}") from None
     try:
         c = descriptor_from_json(data)
+    except OutOfScopeError:
+        raise
     except Exception as exc:
         raise ValueError(f"malformed descriptor in {path}: {exc}") from None
     if not c.points:
@@ -134,29 +134,12 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _single_op(args, fn) -> int:
-    _print_descriptor(fn(_load(args.descriptor)), args.json)
+def cmd_step(args) -> int:
+    """fourier, mc CHI and twist SPEC: the script step of that line, applied
+    to one descriptor."""
+    step = parse_step(f"{args.cmd} {args.step_args}")
+    _print_descriptor(step.apply(_load(args.descriptor)), args.json)
     return 0
-
-
-def cmd_fourier(args) -> int:
-    return _single_op(args, op_fourier)
-
-
-def cmd_mc(args) -> int:
-    chi = parse_eigenvalue(args.chi)
-    return _single_op(args, lambda c: op_middle_convolution(c, chi))
-
-
-def cmd_twist(args) -> int:
-    def do(c):
-        twists = {}
-        for chunk in args.twists.split(","):
-            loc_s, _, eig_s = chunk.rpartition(":")
-            loc = INF if loc_s.strip() == INF else parse_scalar(loc_s.strip())
-            twists[loc] = parse_eigenvalue(eig_s.strip())
-        return op_twist(c, twists)
-    return _single_op(args, do)
 
 
 def cmd_classify(args) -> int:
@@ -210,7 +193,7 @@ def cmd_classify(args) -> int:
                       f"lambda3_chi={chi} -> {'PASS' if r['pass'] else 'FAIL'}")
             ex = rep["excluded"]
             print(f"  excluded: rig={ex['rig']} adjoint_dim={ex['adjoint_dim']} != "
-                  f"{classify.ADJOINT_DIM_AT_ZERO['e2']} -> "
+                  f"{classify.adjoint_dim_at_zero('e2')} -> "
                   f"{'PASS' if ex['pass'] else 'FAIL (excluded as required)'}")
         if not rep["ok"]:
             return 1
@@ -252,22 +235,16 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_replay)
 
-    p = sub.add_parser("fourier")
-    p.add_argument("descriptor")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_fourier)
-
-    p = sub.add_parser("mc")
-    p.add_argument("chi")
-    p.add_argument("descriptor")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_mc)
-
-    p = sub.add_parser("twist")
-    p.add_argument("twists", help="comma-separated loc:eigenvalue pairs")
-    p.add_argument("descriptor")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_twist)
+    for op, metavar, helptext in (
+            ("fourier", None, None), ("mc", "chi", None),
+            ("twist", "twists", "comma-separated loc:eigenvalue pairs, or eigenvalues "
+                                "over the sorted finite points then inf")):
+        p = sub.add_parser(op)
+        if metavar:
+            p.add_argument("step_args", metavar=metavar, help=helptext)
+        p.add_argument("descriptor")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_step, step_args="")
 
     p = sub.add_parser("classify")
     p.add_argument("--tables", action="store_true")

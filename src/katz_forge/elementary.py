@@ -22,12 +22,13 @@ all live here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (Scalar, Eigenvalue, ZERO, ONE,
-                      render_scalar, parse_scalar, split_top)
+from .scalars import (Scalar, Eigenvalue, ZERO, ONE, SCALAR,
+                      render_scalar, parse_expression, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 
 
@@ -211,12 +212,8 @@ def El(p: int, tail, r, coeff: Scalar = ONE) -> ElementaryModule:
     ramification u^p, tail alpha/u and regular part of monodromy M."""
     if isinstance(tail, Scalar):
         tail = {1: tail}
-    elif isinstance(tail, str):
-        tail = {1: parse_scalar(tail)}
     if isinstance(r, str):
         r = parse_jordan(r)
-    elif isinstance(r, Eigenvalue):
-        r = JordanData.single(r, 1)
     return ElementaryModule.make(p, coeff, tail, r)
 
 
@@ -275,6 +272,11 @@ def render_elementary(e: ElementaryModule) -> str:
 
 
 def parse_elementary(text: str) -> ElementaryModule:
+    """El(ramification, tail, R), as ``render_elementary`` writes it.  The
+    ramification is p, or c*u^p, cu^p or u^p (u is u^1); the tail is 0, or
+    terms c/u^j, c/u or c (c/u) joined by + and binary -, equal j adding.
+    u, the coordinate of the cover, is reserved: each c is a scalar free of
+    u, and any other u is an error."""
     text = text.strip()
     if not (text.startswith("El(") and text.endswith(")")):
         raise ValueError(f"elementary module must read El(...): {text!r}")
@@ -283,24 +285,39 @@ def parse_elementary(text: str) -> ElementaryModule:
         raise ValueError(f"El(...) needs 3 arguments, got {len(args)}: {text!r}")
     ram, tail_s, r_s = (x.strip() for x in args)
     coeff = ONE
-    if "u" in ram:
-        head, _, exp = ram.partition("u")
-        head = head.rstrip("*").strip()
-        coeff = parse_scalar(head) if head else ONE
-        p = int(exp.lstrip("^") or 1)
-    else:
+    if ram.isdecimal():
         p = int(ram)
+    elif (split := _u_power(ram)) is not None:
+        c, p = split
+        if c:
+            coeff = parse_expression(c.removesuffix("*"), _COEFF)
+    else:
+        raise ValueError(f"ramification must read p, u^p or c*u^p, got {ram!r}")
     tail: dict = {}
-    if tail_s not in ("0", ""):
-        for term in split_top(tail_s, "+"):
-            term = term.strip()
-            if "/u" in term:
-                num, _, upow = term.rpartition("/u")
-                j = int(upow.lstrip("^") or 1)
-            else:
-                num, j = term, 1
-            num = num.strip()
-            if num.startswith("(") and num.endswith(")"):
-                num = num[1:-1]
-            tail[j] = tail.get(j, ZERO) + parse_scalar(num)
+    # a NUL before each binary + or -, one after an operand, for split_top
+    marked = re.sub(r"(?<=[\w)\]])(\s*)(?=[+-])", "\\1\0", tail_s)
+    for term in [] if tail_s == "0" else split_top(marked, "\0"):
+        term = term.replace("\0", "")
+        split = _u_power(term)
+        if split and split[0].endswith("/"):
+            c, j = split[0][:-1], split[1]
+        else:
+            c, j = term, 1
+        tail[j] = tail.get(j, ZERO) + parse_expression(c, _COEFF)
     return ElementaryModule.make(p, coeff, tail, parse_jordan(r_s))
+
+
+def _symbol_not_u(name: str) -> Scalar:
+    if name == "u":
+        raise ValueError("u is the coordinate of El(...), only in c*u^p and c/u^j")
+    return Scalar.sym(name)
+
+
+_COEFF = SCALAR._replace(symbol=_symbol_not_u)
+
+
+def _u_power(text: str):
+    """(the text before it, k) when text ends with u^k or u (k = 1), a token
+    of its own: a number may stand just before it (2u^3), a name not (a2u^3)."""
+    m = re.search(r"\b(\d*)u\s*(?:\^\s*(\d+))?\s*$", text)
+    return m and (text[:m.end(1)].rstrip(), int(m.group(2) or 1))

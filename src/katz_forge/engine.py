@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
-from .scalars import (Scalar, Eigenvalue, ZERO, ONE, render_scalar, parse_scalar,
-                      parse_eigenvalue)
+from .scalars import (Scalar, Eigenvalue, ZERO, ONE, OutOfScopeError, render_scalar,
+                      parse_scalar, parse_eigenvalue)
 from .jordan import JordanData
 from .elementary import ElementaryModule
 from .formal_type import (FormalType, formal_type_to_json, formal_type_from_json, json_int,
                           render_formal_type)
-from .fourier import (OutOfScopeError, vanishing_data, nearby_from_vanishing,
+from .fourier import (vanishing_data, nearby_from_vanishing,
                       lft_shifted, lft_inf_to_s, epsilon_twist_inf)
 
 INF = "inf"
@@ -84,6 +85,11 @@ def _is_trivial_type(ft: FormalType) -> bool:
 
 def render_location(loc) -> str:
     return INF if loc == INF else render_scalar(loc)
+
+
+def parse_location(text: str):
+    text = text.strip()
+    return INF if text == INF else parse_scalar(text)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -289,7 +295,8 @@ def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> Connectio
 @dataclass(frozen=True)
 class ScriptStep:
     op: str
-    args: tuple
+    args: str        # the argument text, as written
+    apply: Callable  # descriptor -> descriptor
 
 
 def parse_script(text: str):
@@ -300,68 +307,69 @@ def parse_script(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             try:
-                steps.append(_parse_step(line))
+                steps.append(parse_step(line))
             except ValueError as exc:
                 raise ValueError(f"line {ln}: {exc}") from None
     return steps
 
 
-def _parse_step(line: str) -> ScriptStep:
-    head, _, rest = line.partition(" ")
-    rest = rest.strip()
-    if head == "twist":
-        if ":" in rest:
-            pairs = []
-            for chunk in rest.split(","):
-                loc_s, _, eig_s = chunk.rpartition(":")
-                pairs.append((loc_s.strip(), parse_eigenvalue(eig_s.strip())))
-            return ScriptStep("twist", ("named", tuple(pairs)))
-        eigs = tuple(parse_eigenvalue(x.strip()) for x in rest.split(","))
-        return ScriptStep("twist", ("positional", eigs))
-    if head == "moebius":
-        parts = rest.split()
-        if not parts:
-            raise ValueError("moebius needs a kind, inv or affine")
-        if parts[0] == "inv":
-            return ScriptStep("moebius", ("inv",))
-        if parts[0] == "affine":
-            if len(parts) not in (2, 3):
-                raise ValueError("moebius affine needs A and an optional B")
-            b = parse_scalar(parts[2]) if len(parts) > 2 else ZERO
-            return ScriptStep("moebius", ("affine", parse_scalar(parts[1]), b))
-        raise ValueError(f"unknown moebius kind {parts[0]!r}")
-    if head == "fourier":
-        return ScriptStep("fourier", ())
-    if head == "mc":
-        return ScriptStep("mc", (parse_eigenvalue(rest),))
-    raise ValueError(f"unknown operation {head!r}")
+def parse_step(line: str) -> ScriptStep:
+    """One step, ``op args``; the op's entry in _STEPS checks the arguments
+    and builds the step's map on descriptors."""
+    op, _, args = line.strip().partition(" ")
+    args = args.strip()
+    if op not in _STEPS:
+        raise ValueError(f"unknown operation {op!r}")
+    return ScriptStep(op, args, _STEPS[op](args))
 
 
-def apply_step(c: ConnectionDescriptor, step: ScriptStep) -> ConnectionDescriptor:
-    if step.op == "twist":
-        mode, data = step.args
-        if mode == "positional":
-            locs = [l for l in c.locations() if l != INF] + [INF]
-            if len(data) != len(locs):
-                raise ValueError(
-                    f"twist arity {len(data)} does not match the {len(locs)} "
-                    "singular points; use the named loc:eig form to add points")
-            twists = dict(zip(locs, data))
-        else:
-            twists = {}
-            for loc_s, eig in data:
-                loc = INF if loc_s == INF else parse_scalar(loc_s)
-                twists[loc] = eig
-        return op_twist(c, twists)
-    if step.op == "moebius":
-        if step.args[0] == "inv":
-            return op_moebius(c, "inv")
-        return op_moebius(c, "affine", step.args[1], step.args[2])
-    if step.op == "fourier":
-        return op_fourier(c)
-    if step.op == "mc":
-        return op_middle_convolution(c, step.args[0])
-    raise ValueError(f"unknown step {step.op!r}")
+def _fourier_step(args: str):
+    if args:
+        raise ValueError(f"fourier takes no argument, got {args!r}")
+    return op_fourier
+
+
+def _moebius_step(args: str):
+    kind, *ab = args.split() or [""]
+    if not kind:
+        raise ValueError("moebius needs a kind, inv or affine")
+    counts = {"inv": (0,), "affine": (1, 2)}.get(kind)
+    if counts is None:
+        raise ValueError(f"unknown moebius kind {kind!r}")
+    if len(ab) not in counts:
+        raise ValueError(f"moebius {kind} takes {' or '.join(map(str, counts))} "
+                         f"argument(s), got {len(ab)}")
+    ab = [parse_scalar(x) for x in ab]
+    return lambda c: op_moebius(c, kind, *ab)
+
+
+def _mc_step(args: str):
+    chi = parse_eigenvalue(args)
+    return lambda c: op_middle_convolution(c, chi)
+
+
+def _twist_step(args: str):
+    """Named, ``loc:eig, ...``, or positional, ``eig, ...`` over the sorted
+    finite points then inf."""
+    pairs = [chunk.rpartition(":") for chunk in args.split(",")]
+    locs = [parse_location(loc) for loc, _, _ in pairs] if ":" in args else None
+    eigs = [parse_eigenvalue(eig) for _, _, eig in pairs]
+
+    def apply(c):
+        at = locs or [l for l in c.locations() if l != INF] + [INF]
+        if len(eigs) != len(at):
+            raise ValueError(
+                f"twist arity {len(eigs)} does not match the {len(at)} "
+                "singular points; use the named loc:eig form to add points")
+        return op_twist(c, dict(zip(at, eigs)))
+    return apply
+
+
+# op -> the reader of its argument text, which checks the arity and returns
+# the step's map on descriptors: fourier takes no argument, moebius inv none
+# and moebius affine A and an optional B, mc one eigenvalue and twist a list
+_STEPS = {"fourier": _fourier_step, "moebius": _moebius_step,
+          "mc": _mc_step, "twist": _twist_step}
 
 
 def run_script(c0: ConnectionDescriptor, steps) -> list:
@@ -372,7 +380,7 @@ def run_script(c0: ConnectionDescriptor, steps) -> list:
     trace = [c0]
     for i, step in enumerate(steps, 1):
         try:
-            trace.append(apply_step(trace[-1], step))
+            trace.append(step.apply(trace[-1]))
         except ContradictionError as exc:
             raise ContradictionError(f"step {i} ({step.op}): {exc.report}") from exc
         except (ValueError, OutOfScopeError) as exc:
@@ -393,7 +401,7 @@ def descriptor_from_json(d: dict) -> ConnectionDescriptor:
     rank = json_int(d["rank"], "rank")
     pts, keys = {}, {}
     for loc_s, ft_d in d["points"].items():
-        loc = INF if loc_s == INF else parse_scalar(loc_s)
+        loc = parse_location(loc_s)
         if loc in keys:
             raise ValueError(f"locations {keys[loc]!r} and {loc_s!r} are the same "
                              f"point {render_location(loc)}")

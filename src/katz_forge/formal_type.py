@@ -105,8 +105,7 @@ class FormalType:
         det = DetData((), self.regular.det())
         for e in self.irregular:
             det = det * e.det()
-        duals = FormalType.make(self.regular.dual(), [e.dual() for e in self.irregular])
-        return {"self_dual": duals == self, "det_trivial": det.is_trivial()}
+        return {"self_dual": self.dual() == self, "det_trivial": det.is_trivial()}
 
     def formal_monodromy(self) -> JordanData:
         out = self.regular

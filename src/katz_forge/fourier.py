@@ -20,15 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, Eigenvalue, ZERO, ONE
+from .scalars import Scalar, Eigenvalue, ZERO, ONE, OutOfScopeError
 from .jordan import JordanData
 from .elementary import ElementaryModule
 from .formal_type import FormalType
-
-
-class OutOfScopeError(ValueError):
-    """Raised for inputs outside the supported calculus (slopes > 1 at the
-    transform source, ramified slope-1 content at infinity, ...)."""
 
 
 def vanishing_data(j: JordanData) -> JordanData:

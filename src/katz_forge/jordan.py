@@ -46,9 +46,6 @@ class JordanData:
     def rank(self) -> int:
         return sum(s for _, s in self.blocks)
 
-    def is_zero(self) -> bool:
-        return not self.blocks
-
     def is_trivial(self) -> bool:
         return all(e.is_one() and s == 1 for e, s in self.blocks)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Callable, NamedTuple
 
 
 class IrrationalRootError(ValueError):
@@ -34,15 +35,27 @@ class IrrationalSumError(ValueError):
     """Raised when adding scalars with incompatible radical parts."""
 
 
+class OutOfScopeError(ValueError):
+    """Raised for inputs outside the supported calculus (slopes > 1 at the
+    transform source, cyclotomic fields of degree above _MAX_DEGREE, ...)."""
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic fields Q(zeta_N), power basis mod Phi_N, minimal-order canonical
 # ---------------------------------------------------------------------------
 # Phi_N is monic with integer coefficients, so reduction mod Phi_N never
 # divides: an element is kept as integer numerators over one denominator.
 
+# The largest degree phi(n) of a field Q(zeta_n) the engine builds: its subfield
+# tables eliminate phi(m) x phi(n) matrices, seconds at phi(n) = 96 (n = 336).
+_MAX_DEGREE = 96
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Dense integer coefficient tuple (low degree first) of Phi_n."""
+    """Dense integer coefficient tuple (low degree first) of Phi_n.  Every
+    field Q(zeta_n) is built through it, so it refuses the large ones."""
+    _euler_phi(n)
     if n == 1:
         return (-1, 1)
     # x^n - 1 divided by prod of Phi_d for proper divisors d
@@ -69,7 +82,16 @@ def _dense_divexact(a: list, b: tuple) -> list:
 
 @lru_cache(maxsize=None)
 def _euler_phi(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
+    """phi(n), the degree of Q(zeta_n), or OutOfScopeError above _MAX_DEGREE;
+    phi(n) >= sqrt(n/2), so n > 2 * _MAX_DEGREE^2 needs no factoring."""
+    phi = n
+    if n <= 2 * _MAX_DEGREE ** 2:
+        for p in _prime_divisors(n):
+            phi = phi // p * (p - 1)
+    if phi > _MAX_DEGREE:
+        raise OutOfScopeError(f"Q(zeta({n})) has degree above {_MAX_DEGREE}: "
+                              "roots of unity of this order are out of scope")
+    return phi
 
 
 @lru_cache(maxsize=None)
@@ -349,9 +371,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return self.order == 1 and self.num[0] == 0
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{render_cyclotomic(self)} is not rational")
@@ -472,10 +491,6 @@ def poly_leading(a: dict):
     return m, a[m]
 
 
-def poly_is_monomial(a: dict) -> bool:
-    return len(a) == 1
-
-
 def poly_vars(a: dict):
     vs = set()
     for m in a:
@@ -551,7 +566,7 @@ def poly_gcd(a: dict, b: dict) -> dict:
         return _monic(b)
     if not b:
         return _monic(a)
-    if poly_is_monomial(a) or poly_is_monomial(b):
+    if len(a) == 1 or len(b) == 1:
         ga = _mono_gcd_all(a)
         gb = _mono_gcd_all(b)
         g = {}
@@ -773,10 +788,6 @@ class Scalar:
         return tuple(sorted(d.items(), key=lambda t: mono_key(t[0])))
 
     @staticmethod
-    def _unpack(t) -> dict:
-        return dict(t)
-
-    @staticmethod
     def make(num: dict, den: dict, rad=()) -> "Scalar":
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
@@ -786,12 +797,6 @@ class Scalar:
         if not (len(g) == 1 and () in g and g[()] == ONE_C):
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-        # also cancel plain monomial content
-        gm = poly_gcd({_mono_gcd_all(num): ONE_C}, {_mono_gcd_all(den): ONE_C})
-        gmono = next(iter(gm))
-        if gmono:
-            num = poly_divexact(num, {gmono: ONE_C})
-            den = poly_divexact(den, {gmono: ONE_C})
         _, lc = poly_leading(den)
         if not (lc == ONE_C):
             inv = lc.inverse()
@@ -818,28 +823,13 @@ class Scalar:
 
     # -- views -------------------------------------------------------------
     def numd(self) -> dict:
-        return Scalar._unpack(self.num)
+        return dict(self.num)
 
     def dend(self) -> dict:
-        return Scalar._unpack(self.den)
+        return dict(self.den)
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_one(self) -> bool:
-        return self == ONE
-
-    def is_rational(self):
-        if self.rad or len(self.num) > 1 or len(self.den) > 1:
-            return None
-        nd, dd = self.numd(), self.dend()
-        if not nd:
-            return Fraction(0)
-        (mn, cn), = nd.items()
-        (md, cd), = dd.items()
-        if mn or md or not cn.is_rational() or not cd.is_rational():
-            return None
-        return cn.rational_value() / cd.rational_value()
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -1304,9 +1294,11 @@ def split_top(text: str, sep: str) -> list:
 
 
 class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    """A text read by the expression grammar: the position, the reading and
+    the depth of the open parentheses."""
+
+    def __init__(self, text: str, reading: "Reading"):
+        self.text, self.pos, self.reading, self.depth = text, 0, reading, 0
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -1320,39 +1312,88 @@ class _Tok:
         self.pos += 1
         return c
 
-    def ident(self):
-        c = self.peek()
+    def run(self, ok) -> str:
+        """The longest run of characters ch with ok(ch), after spaces."""
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+        while self.pos < len(self.text) and ok(self.text[self.pos]):
             self.pos += 1
         return self.text[start:self.pos]
 
     def number(self) -> int:
-        start = self.pos
-        self.peek()
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+        return int(self.run(str.isdigit))
 
 
-def parse_scalar(text: str) -> Scalar:
-    tok = _Tok(text)
+# The grammar recurses once per level of parentheses; deeper input is an
+# error, not a RecursionError.
+_MAX_DEPTH = 64
+
+
+class Reading(NamedTuple):
+    """What the leaves and operations of the one expression grammar mean:
+    ``expr = term (('+' | '-') term)*``, ``term = factor (('*' | '/')
+    factor)*``, ``factor = ('+' | '-')* atom ['^' exponent]``, ``atom = '('
+    expr ')' | integer | zeta(n)['^' exponent] | symbol``, an exponent n,
+    -n or (a/b).  ``*``, ``/``, ``+`` and ``-`` are the values' own; the
+    expr loop runs only when ``adds``."""
+
+    what: str            # the sort read, for messages
+    integer: Callable    # n -> value
+    symbol: Callable     # name -> value
+    zeta: Callable       # (n, Fraction e) -> zeta_n^e
+    power: Callable      # (value, Fraction e) -> value^e
+    negate: Callable
+    adds: bool
+
+
+def _eigenvalue_integer(n: int) -> "Eigenvalue":
+    if n == 1:
+        return ONE_EIG
+    raise ValueError("eigenvalue cannot be zero" if n == 0 else
+                     "only 1 and roots of unity are numeric eigenvalues")
+
+
+def _scalar_power(v: Scalar, e: Fraction) -> Scalar:
+    v = v ** e.numerator
+    return v if e.denominator == 1 else v.root(e.denominator)
+
+
+# an integer power of zeta is a table lookup, a fractional one a root of it
+SCALAR = Reading("scalar", Scalar.rational, Scalar.sym,
+                 lambda n, e: Scalar.zeta(n, e.numerator).root(e.denominator),
+                 _scalar_power, Scalar.__neg__, True)
+EIGENVALUE = Reading("eigenvalue", _eigenvalue_integer,
+                     lambda name: Eigenvalue(1, 4) if name == "i" else Eigenvalue.sym(name),
+                     lambda n, e: Eigenvalue(1 % n, n).pow(e), Eigenvalue.pow,
+                     lambda v: v * MINUS_ONE_EIG, False)
+
+
+def parse_expression(text: str, reading: Reading):
+    tok = _Tok(text, reading)
     v = _parse_expr(tok)
     if tok.peek():
-        raise ValueError(f"trailing input in scalar {text!r}")
+        raise ValueError(f"trailing input in {reading.what} {text!r}")
     return v
 
 
-def _parse_expr(tok: _Tok) -> Scalar:
+def parse_scalar(text: str) -> Scalar:
+    return parse_expression(text, SCALAR)
+
+
+def parse_eigenvalue(text: str) -> Eigenvalue:
+    return parse_expression(text, EIGENVALUE)
+
+
+def _parse_expr(tok: _Tok):
     v = _parse_term(tok)
-    while tok.peek() and tok.peek() in "+-":
+    while tok.reading.adds and tok.peek() and tok.peek() in "+-":
         op = tok.take()
         t = _parse_term(tok)
         v = v + t if op == "+" else v - t
     return v
 
 
-def _parse_term(tok: _Tok) -> Scalar:
+def _parse_term(tok: _Tok):
     v = _parse_factor(tok)
     while tok.peek() and tok.peek() in "*/":
         op = tok.take()
@@ -1361,139 +1402,52 @@ def _parse_term(tok: _Tok) -> Scalar:
     return v
 
 
-def _parse_factor(tok: _Tok) -> Scalar:
-    c = tok.peek()
+def _parse_factor(tok: _Tok):
     neg = False
-    while c and c in "+-":
-        tok.take()
-        if c == "-":
-            neg = not neg
-        c = tok.peek()
+    while tok.peek() and tok.peek() in "+-":
+        neg ^= tok.take() == "-"
     base = _parse_atom(tok)
     if tok.peek() == "^":
-        tok.take()
-        e = _parse_exponent(tok)
-        if e.denominator == 1:
-            base = base ** e.numerator
-        else:
-            base = (base ** e.numerator).root(e.denominator)
-    return -base if neg else base
+        base = tok.reading.power(base, _parse_exponent(tok))
+    return tok.reading.negate(base) if neg else base
 
 
 def _parse_exponent(tok: _Tok) -> Fraction:
-    if tok.peek() == "(":
-        tok.take("(")
-        sign = 1
-        if tok.peek() == "-":
-            tok.take()
-            sign = -1
-        n = tok.number()
-        d = 1
-        if tok.peek() == "/":
-            tok.take()
-            d = tok.number()
-        tok.take(")")
-        return Fraction(sign * n, d)
-    sign = 1
-    if tok.peek() == "-":
+    """The exponent after a ``^``: n, -n, (n), (-n) or (a/b), a may be negative."""
+    tok.take("^")
+    paren = tok.peek() == "("
+    if paren:
         tok.take()
-        sign = -1
-    return Fraction(sign * tok.number())
+    sign = -1 if tok.peek() == "-" and tok.take() else 1
+    n = tok.number()
+    d = tok.number() if paren and tok.peek() == "/" and tok.take() else 1
+    if paren:
+        tok.take(")")
+    return Fraction(sign * n, d)
 
 
-def _parse_atom(tok: _Tok) -> Scalar:
-    c = tok.peek()
+def _parse_atom(tok: _Tok):
+    c, rd = tok.peek(), tok.reading
     if c == "(":
-        tok.take("(")
+        if tok.depth == _MAX_DEPTH:
+            raise ValueError(f"parentheses nested deeper than {_MAX_DEPTH} in {rd.what} "
+                             f"{tok.text!r}")
+        tok.take()
+        tok.depth += 1
         v = _parse_expr(tok)
+        tok.depth -= 1
         tok.take(")")
         return v
     if c.isdigit():
-        n = tok.number()
-        return Scalar.rational(n)
-    name = tok.ident()
+        return rd.integer(tok.number())
+    name = tok.run(lambda ch: ch.isalnum() or ch == "_")
     if not name:
-        raise ValueError(f"parse error at {tok.pos} in {tok.text!r}")
-    if name == "zeta":
-        n = _zeta_order(tok)
-        if tok.peek() != "^":
-            return Scalar.zeta(n)
-        tok.take()
-        e = _parse_exponent(tok)
-        # an integer power is a table lookup, a fractional one a root of it
-        return Scalar.zeta(n, e.numerator).root(e.denominator)
-    return Scalar.sym(name)
-
-
-def _zeta_order(tok: _Tok) -> int:
-    """The n of zeta(n), after the name."""
+        raise ValueError(f"parse error at {tok.pos} in {rd.what} {tok.text!r}")
+    if name != "zeta":
+        return rd.symbol(name)
     tok.take("(")
     n = tok.number()
     tok.take(")")
     if n < 1:
         raise ValueError(f"zeta({n}) needs an order of at least 1 in {tok.text!r}")
-    return n
-
-
-def parse_eigenvalue(text: str) -> Eigenvalue:
-    tok = _Tok(text)
-    out = Eigenvalue.one()
-    neg = False
-    while True:
-        c = tok.peek()
-        if c and c in "+-":
-            tok.take()
-            if c == "-":
-                neg = not neg
-            continue
-        break
-    while True:
-        c = tok.peek()
-        if c == "(":
-            tok.take("(")
-            inner = _parse_eig_factor(tok)
-            tok.take(")")
-        else:
-            inner = _parse_eig_factor(tok)
-        out = out * inner
-        if tok.peek() == "*":
-            tok.take()
-            continue
-        if tok.peek() == "/":
-            tok.take()
-            nxt = _parse_eig_factor(tok)
-            out = out / nxt
-            continue
-        break
-    if tok.peek():
-        raise ValueError(f"trailing input in eigenvalue {text!r}")
-    if neg:
-        out = out * Eigenvalue.minus_one()
-    return out
-
-
-def _parse_eig_factor(tok: _Tok) -> Eigenvalue:
-    c = tok.peek()
-    if c.isdigit():
-        n = tok.number()
-        if n == 1:
-            base = Eigenvalue.one()
-        elif n == 0:
-            raise ValueError("eigenvalue cannot be zero")
-        else:
-            raise ValueError("only 1 and roots of unity are numeric eigenvalues")
-    else:
-        name = tok.ident()
-        if not name:
-            raise ValueError(f"parse error at {tok.pos} in eigenvalue {tok.text!r}")
-        if name == "zeta":
-            base = Eigenvalue.of_torsion(Fraction(1, _zeta_order(tok)))
-        elif name == "i":
-            base = Eigenvalue.of_torsion(Fraction(1, 4))
-        else:
-            base = Eigenvalue.sym(name)
-    if tok.peek() == "^":
-        tok.take()
-        e = _parse_exponent(tok)
-        base = base.pow(e)
-    return base
+    return rd.zeta(n, _parse_exponent(tok) if tok.peek() == "^" else Fraction(1))

@@ -162,6 +162,14 @@ class TestVerifyClassification:
         assert ex["adjoint_dim"] == 8 and not ex["adjoint_ok"]
         assert ex["rig"] == 2  # rigid, but not a G2 connection
 
+    def test_adjoint_dim_at_zero(self):
+        # e2 and excluded are the published 6 and 8; the regular elements of
+        # the other rows have the rank of G2, 2, or more
+        want = {"e1_1": 4, "e1_2": 4, "e1_3": 4, "e2": 6, "e3": 4, "e4_1": 2, "e4_2": 2,
+                "e4_3": 2, "e4_4": 2, "e4_5": 2, "excluded": 8}
+        names = [n for n, _, _ in CLASSIFICATION_ROWS] + ["excluded"]
+        assert {n: classify.adjoint_dim_at_zero(n) for n in names} == want
+
     def test_lambda3_values(self):
         rep = verify_classification()
         assert rep["e2"]["lambda3_chi"] == 2

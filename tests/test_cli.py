@@ -122,6 +122,12 @@ class TestSingleOps:
                               golden_path("e4_1.json"))
         assert code == 0
 
+    def test_twist_positional_is_named(self, capsys):
+        # e4_1 is singular at 0 and inf only
+        named = invoke(capsys, "twist", "0:m, inf:m^-1", golden_path("e4_1.json"))
+        assert named[0] == 0
+        assert invoke(capsys, "twist", "m, m^-1", golden_path("e4_1.json")) == named
+
     def test_mc_precondition_error(self, capsys):
         code, _, err = invoke(capsys, "mc", "m", golden_path("e4_1.json"))
         assert code == 2
@@ -190,6 +196,12 @@ class TestErrorBoundary:
         "moebius_without_kind": ("fourier\nmoebius\n", "line 2: moebius needs a kind"),
         "twist_wrong_arity": ("twist 1\n", "step 1 (twist): twist arity 1"),
         "moebius_affine_0": ("moebius affine 0\n", "step 1 (moebius): affine map needs a != 0"),
+        # each op takes a fixed number of arguments
+        "fourier_with_argument": ("fourier now\n", "line 1: fourier takes no argument"),
+        "moebius_inv_with_argument": ("moebius inv please\n",
+                                      "line 1: moebius inv takes 0 argument(s)"),
+        "deep_nesting": ("twist " + "(" * 400 + "0" + ")" * 400 + ":m, inf:m^-1\n",
+                         "line 1: parentheses nested deeper than 64"),
     }
 
     @staticmethod
@@ -208,6 +220,11 @@ class TestErrorBoundary:
     def test_mc_numeric_eigenvalue(self, capsys):
         self._error(*invoke(capsys, "mc", "2", golden_path("l1.json")),
                     "only 1 and roots of unity")
+
+    def test_twist_deep_nesting(self, capsys):
+        spec = "(" * 400 + "0" + ")" * 400 + ":m, inf:m^-1"
+        self._error(*invoke(capsys, "twist", spec, golden_path("e4_1.json")),
+                    "parentheses nested deeper than 64")
 
     def test_check_directory(self, tmp_path, capsys):
         self._error(*invoke(capsys, "check", str(tmp_path)), "[Errno")

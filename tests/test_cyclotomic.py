@@ -5,6 +5,7 @@ implementations from the same data; every operation must give the same
 order and coordinates, and the order must be minimal."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
@@ -13,6 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_cyclotomic as ref
 from katz_forge.scalars import Cyclotomic, _subfield_projection, render_cyclotomic
+
+# The reference is pure; its as_unit_times_rational inverts up to 48 roots of
+# unity by an elimination each, so memoize the roots and their inverses.
+ref.Cyclotomic.zeta = staticmethod(lru_cache(maxsize=None)(ref.Cyclotomic.zeta))
+ref.Cyclotomic.inverse = lru_cache(maxsize=None)(ref.Cyclotomic.inverse)
 
 ORDERS = st.integers(1, 24)
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

@@ -288,8 +288,7 @@ class TestSerialization:
     def test_script_named_twist(self):
         steps = parse_script("twist 0:m, inf:m^-1")
         c = GOLDEN[0]
-        from katz_forge.engine import apply_step
-        out = apply_step(c, steps[0])
+        out = steps[0].apply(c)
         assert rigidity_index(out) == 2
 
 

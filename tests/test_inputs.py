@@ -15,9 +15,9 @@ import sys
 import pytest
 
 from katz_forge.cli import golden_path, main
-from katz_forge.elementary import parse_elementary
+from katz_forge.elementary import ElementaryModule, parse_elementary
 from katz_forge.jordan import parse_jordan
-from katz_forge.scalars import Scalar, parse_eigenvalue, parse_scalar
+from katz_forge.scalars import ONE, Scalar, parse_eigenvalue, parse_scalar
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,11 +73,22 @@ DESCRIPTORS = {
 ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
               "El(2, a1, ())", "El(2, a1, (xJ(0)))",
               # ramification orders below 1
-              "El(0, a1, (1))", "El(-2, a1, (1))", "El(u^0, a1, (1))"]
+              "El(0, a1, (1))", "El(-2, a1, (1))", "El(u^0, a1, (1))",
+              # u, the coordinate of the cover, anywhere but in c*u^p and c/u^j
+              "El(2, a1/(u^2), (1))", "El(u2, a1, (1))", "El(2, a1*u, (1))",
+              # parentheses nested deeper than the grammar reads
+              "El(2, " + "(" * 400 + "a1" + ")" * 400 + ", (1))"]
 
-# an empty factor is no symbol; zeta(0) is no root of unity
+# (El(...), p, {pole order: coefficient}) that must read as that module with
+# R = (1): a binary - separates terms, and u1, u2 are symbols like a1
+ELEMENTARY_EQUAL = [("El(u^2, a1 - a2/u^2, (1))", 2, {1: "a1", 2: "-a2"}),
+                    ("El(2, a1/u2, (1))", 2, {1: "a1/u2"}),
+                    ("El(2, a1/u1, (1))", 2, {1: "a1/u1"})]
+
+# an empty factor is no symbol; zeta(0) is no root of unity; 400 nested
+# parentheses are too deep
 EIGENVALUES = ["", "-", "x*", "()", "1*", "x/", "zeta(0)"]
-SCALARS = ["zeta(0)", "zeta(0)^2"]
+SCALARS = ["zeta(0)", "zeta(0)^2", "(" * 400 + "x" + ")" * 400]
 
 # (written form, form it must equal): a `*` before J(n) or E<n> is optional
 # and a zeta power may be fractional
@@ -160,6 +171,24 @@ def test_ramification_below_1_names_p(p, tmp_path, capsys):
 def test_parse_elementary_raises(text):
     with pytest.raises(ValueError, match=".+"):
         parse_elementary(text)
+
+
+@pytest.mark.parametrize("text,p,tail", ELEMENTARY_EQUAL)
+def test_parse_elementary_reads(text, p, tail):
+    tail = {j: parse_scalar(c) for j, c in tail.items()}
+    assert parse_elementary(text) == ElementaryModule.make(p, ONE, tail, parse_jordan("(1)"))
+
+
+def test_large_cyclotomic_order_is_out_of_scope(tmp_path):
+    """Q(zeta_2310) has degree 480: check exits 3 at once instead of
+    building its subfield tables."""
+    path = tmp_path / "e2_zeta.json"
+    path.write_text(json.dumps(_e2_with(E2_EL + ("phi",), {"-1": "zeta(2310)*a1"})))
+    res = subprocess.run([sys.executable, "-m", "katz_forge.cli", "check", str(path)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                         timeout=30)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == "" and res.stderr.startswith("out of scope: Q(zeta(2310))")
 
 
 @pytest.mark.parametrize("text", EIGENVALUES)
