@@ -17,7 +17,7 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "src", "katz_forge", "golden
 
 
 def reg(text):
-    return FormalType.regular_only(parse_jordan(text))
+    return FormalType.make(parse_jordan(text))
 
 
 STARTS = {

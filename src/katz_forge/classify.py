@@ -151,8 +151,8 @@ def _special_pole2_shapes(profile, reg_rank) -> list:
     c, d = Scalar.sym("c1"), Scalar.sym("c2")
     m = Eigenvalue.sym("m90")
     pair = [
-        ElementaryModule.make(2, ONE, {2: c, 1: d}, JordanData.single(m, 1)),
-        ElementaryModule.make(2, ONE, {2: -c, 1: -d}, JordanData.single(m.inverse(), 1)),
+        ElementaryModule.make(2, {2: c, 1: d}, JordanData.single(m, 1)),
+        ElementaryModule.make(2, {2: -c, 1: -d}, JordanData.single(m.inverse(), 1)),
     ]
     if profile == _prof((1, 4)) and reg_rank == 3:
         return [CandidateShape(profile, 3, "pole2pair", tuple(pair))]
@@ -367,7 +367,7 @@ def classification_descriptor(name: str):
     rows = dict((n, (z, i)) for n, z, i in CLASSIFICATION_ROWS + (EXCLUDED_ROW,))
     z, i = rows[name]
     return ConnectionDescriptor.make(
-        {Scalar.rational(0): FormalType.regular_only(parse_jordan(z)),
+        {Scalar.rational(0): FormalType.make(parse_jordan(z)),
          "inf": parse_formal_type(i)}, 7)
 
 
@@ -393,7 +393,7 @@ def verify_row(name: str) -> dict:
     checks["pattern_zero"] = g2_pattern_check(zero_ft.formal_monodromy().eigenvalue_multiset())
     checks["pattern_inf"] = g2_pattern_check(inf_ft.formal_monodromy().eigenvalue_multiset())
     if name in _LAMBDA3_ROWS:
-        fam = {Scalar.rational(0): FormalType.regular_only(zero_ft.regular.exterior(3)),
+        fam = {Scalar.rational(0): FormalType.make(zero_ft.regular.exterior(3)),
                "inf": inf_ft.exterior_cube()}
         chi = euler_char_middle(c, fam)
         checks["lambda3_chi"] = chi
@@ -469,7 +469,7 @@ def _specialized_descriptor(name: str, torsion_subs: dict):
     pts = {}
     for loc, ft in c.points:
         reg = JordanData.make([(_subs_eig(e, torsion_subs), s) for e, s in ft.regular.blocks])
-        els = [ElementaryModule.make(el.p, el.coeff, el.taild(),
+        els = [ElementaryModule.make(el.p, el.tail,
                                      JordanData.make([(_subs_eig(e, torsion_subs), s)
                                                       for e, s in el.r.blocks]))
                for el in ft.irregular]
@@ -495,5 +495,5 @@ def _e2_member():
     inf = FormalType.make(
         JordanData.single(Eigenvalue.minus_one(), 1),
         [El(2, -a1, "(1)"), El(2, z65 * a1, "(1)"), El(2, (z65 - ONE) * a1, "(1)")])
-    zero = FormalType.regular_only(parse_jordan("(J(3), J(2), J(2))"))
+    zero = FormalType.make(parse_jordan("(J(3), J(2), J(2))"))
     return ConnectionDescriptor.make({Scalar.rational(0): zero, "inf": inf}, 7)

@@ -45,6 +45,8 @@ def _load(path: str) -> ConnectionDescriptor:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path} at line {exc.lineno} column "
                          f"{exc.colno} (char {exc.pos}): {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
     try:
         c = descriptor_from_json(data)
     except OutOfScopeError:
@@ -261,6 +263,12 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_pullback)
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] in (["mc"], ["twist"]):
+        # CHI and SPEC may start with '-' (mc -l): every argument but the
+        # flags is positional
+        flags = [a for a in argv[1:] if a in ("--json", "-h", "--help")]
+        argv = [argv[0], *flags, "--", *(a for a in argv[1:] if a not in flags and a != "--")]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -4,9 +4,11 @@ El(rho, phi, R) is the pushforward along the ramified cover rho(u) = c*u^p
 of the exponential twist E^phi tensored with a regular connection R.  The
 tail phi is kept mod regular terms, as a map {pole order j >= 1 -> Scalar}.
 
-Canonical form: ramification coefficient 1 (normalized by substituting a
-canonical p-th root) and the lexicographically minimal representative of
-the zeta_p-orbit of the tail.
+Only coefficient 1 is stored: a cover c*u^p is read by substituting
+u -> g*u with g the canonical p-th root of c, which multiplies the tail
+term of pole order j by g^j.  Canonical form is minimal ramification and
+the lexicographically minimal representative of the zeta_p-orbit of the
+tail.
 
 Invariant: a module whose ``normal`` flag is set is in canonical form, and
 ``normalize`` returns it unchanged.  Only ``normalize`` sets the flag (and
@@ -51,24 +53,27 @@ def _pos_key(s: Scalar):
 @dataclass(frozen=True)
 class ElementaryModule:
     p: int
-    coeff: Scalar
     tail: tuple  # ((pole order j, Scalar coefficient), ...), j >= 1
     r: JordanData
     normal: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
-    def make(p: int, coeff: Scalar, tail, r: JordanData) -> "ElementaryModule":
-        if isinstance(tail, dict):
-            tail = _tail_pack(tail)
+    def make(p: int, tail, r: JordanData, c: Scalar = ONE) -> "ElementaryModule":
+        """The module on the cover c*u^p, with c substituted away."""
         if p < 1:
             raise ValueError(f"ramification order p must be at least 1, got {p}")
+        if c.is_zero():
+            raise ValueError("ramification coefficient must be nonzero")
+        if c != ONE:
+            g = c.root(p)
+            tail = {j: a * g ** j for j, a in dict(tail).items()}
+        if isinstance(tail, dict):
+            tail = _tail_pack(tail)
         if tail and tail[0][0] < 1:
             raise ValueError(f"pole order must be at least 1, got {tail[0][0]}")
-        if coeff.is_zero():
-            raise ValueError("ramification coefficient must be nonzero")
         if not r.rank():
             raise ValueError("elementary module needs a regular part R of rank >= 1")
-        return ElementaryModule(int(p), coeff, tail, r)
+        return ElementaryModule(int(p), tail, r)
 
     def taild(self) -> dict:
         return dict(self.tail)
@@ -90,22 +95,15 @@ class ElementaryModule:
 
     # -- canonical form ------------------------------------------------------
     def normalize(self) -> "ElementaryModule":
-        """Coefficient-1 form, reduced to minimal inner ramification, with
-        the canonical zeta_p-orbit representative of the tail."""
+        """Reduced to minimal inner ramification, with the canonical
+        zeta_p-orbit representative of the tail."""
         if self.normal:
             return self
-        e = self._coeff_one()._reduce()._orbit_min()
+        e = self._reduce()._orbit_min()
         # the flag records a property of the value, which is why it may be
         # set on an existing (possibly shared) instance
         object.__setattr__(e, "normal", True)
         return e
-
-    def _coeff_one(self) -> "ElementaryModule":
-        if self.coeff == ONE:
-            return self
-        g = self.coeff.root(self.p)
-        tail = {j: a * (g ** j) for j, a in self.tail}
-        return ElementaryModule.make(self.p, ONE, tail, self.r)
 
     def _reduce(self) -> "ElementaryModule":
         e = self
@@ -113,14 +111,14 @@ class ElementaryModule:
             if not e.tail:
                 if e.p == 1:
                     return e
-                return ElementaryModule.make(1, ONE, {}, e.r.push(e.p))
+                return ElementaryModule.make(1, {}, e.r.push(e.p))
             m = e.p
             for j, _ in e.tail:
                 m = gcd(m, j)
             if m == 1:
                 return e
             tail = {j // m: a for j, a in e.tail}
-            e = ElementaryModule.make(e.p // m, ONE, tail, e.r.push(m))
+            e = ElementaryModule.make(e.p // m, tail, e.r.push(m))
 
     def _orbit_min(self) -> "ElementaryModule":
         if self.p == 1 or not self.tail:
@@ -140,36 +138,33 @@ class ElementaryModule:
             ks = [k for k in ks if rot[-j * k % p][0] == least]
         k = ks[0]
         tail = {j: rot[-j * k % p][1] for j, rot in rotated.items()}
-        return ElementaryModule.make(p, ONE, tail, self.r)
+        return ElementaryModule.make(p, tail, self.r)
+
+    def rotated(self, k: int) -> dict:
+        """The tail after the deck rotation u -> zeta_p^k u, which multiplies
+        the term of pole order j by zeta_p^(-jk)."""
+        return {j: a.times_unit(self.p, -j * k % self.p) for j, a in self.tail}
 
     # -- basic functors --------------------------------------------------------
     def dual(self) -> "ElementaryModule":
-        return ElementaryModule.make(self.p, self.coeff,
-                                     {j: -a for j, a in self.tail},
+        return ElementaryModule.make(self.p, {j: -a for j, a in self.tail},
                                      self.r.dual()).normalize()
 
     def det(self) -> "DetData":
-        e = self._coeff_one()
-        rk = e.r.rank()
+        p, rk = self.p, self.r.rank()
         tail = {}
-        for j, a in e.tail:
-            if j % e.p == 0:
-                tail[j // e.p] = tail.get(j // e.p, ZERO) + a * Scalar.rational(e.p * rk)
-        eig = e.r.det() * Eigenvalue.of_torsion(Fraction((e.p - 1) * rk, 2))
+        for j, a in self.tail:
+            if j % p == 0:
+                tail[j // p] = tail.get(j // p, ZERO) + a * Scalar.rational(p * rk)
+        eig = self.r.det() * Eigenvalue.make(Fraction((p - 1) * rk, 2))
         return DetData(_tail_pack(tail), eig)
 
     def iso_eq(self, other: "ElementaryModule") -> bool:
         return self.normalize() == other.normalize()
 
-    def twist_regular(self, s: JordanData) -> "ElementaryModule":
-        """Tensor with a regular connection (pulled through the cover)."""
-        return ElementaryModule.make(self.p, self.coeff, self.taild(),
-                                     self.r.tensor(s.pull(self.p)))
-
     def scale_eigenvalues(self, eig: Eigenvalue) -> "ElementaryModule":
         """Tensor with a rank-one regular of downstairs eigenvalue `eig`."""
-        return ElementaryModule.make(self.p, self.coeff, self.taild(),
-                                     self.r.scale(eig.pow(self.p)))
+        return ElementaryModule.make(self.p, self.tail, self.r.scale(eig.pow(self.p)))
 
     def pullback(self, k: int) -> list:
         """Kummer pullback along u -> u^k, as a list of normalized
@@ -177,13 +172,8 @@ class ElementaryModule:
         e = self.normalize()
         d = gcd(k, e.p)
         pp, kk = e.p // d, k // d
-        out = []
-        for j in range(d):
-            tail = {}
-            for i, a in e.tail:
-                tail[i * kk] = a.times_unit(e.p, -i * j % e.p)
-            out.append(ElementaryModule.make(pp, ONE, tail, e.r.pull(kk)).normalize())
-        return out
+        return [ElementaryModule.make(pp, {i * kk: a for i, a in e.rotated(j).items()},
+                                      e.r.pull(kk)).normalize() for j in range(d)]
 
     def __repr__(self):
         return f"ElementaryModule({render_elementary(self)})"
@@ -207,14 +197,14 @@ class DetData:
         return DetData(_tail_pack(tail), self.eig * other.eig)
 
 
-def El(p: int, tail, r, coeff: Scalar = ONE) -> ElementaryModule:
+def El(p: int, tail, r) -> ElementaryModule:
     """Shorthand constructor: El(p, alpha, M) is the elementary module with
     ramification u^p, tail alpha/u and regular part of monodromy M."""
     if isinstance(tail, Scalar):
         tail = {1: tail}
     if isinstance(r, str):
         r = parse_jordan(r)
-    return ElementaryModule.make(p, coeff, tail, r)
+    return ElementaryModule.make(p, tail, r)
 
 
 # -- Hom / tensor decomposition (Sabbah) -------------------------------------
@@ -234,18 +224,14 @@ def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
         for j, c in b.tail:
             jj = j * p1p
             tail[jj] = tail.get(jj, ZERO) + c
-        for j, c in a.tail:
+        # phi1((zeta w)^{p2'}) with zeta = e^(2 pi i k d / (p1 p2)) is phi1
+        # under the deck rotation by zeta_p1^k
+        for j, c in a.rotated(k).items():
             jj = j * p2p
-            # phi1((zeta w)^{p2'}): coefficient picks up zeta^(-j p2') with
-            # zeta = e^(2 pi i k d / (p1 p2)), so the twist is e^(-2 pi i k j / p1)
-            tail[jj] = tail.get(jj, ZERO) - c.times_unit(a.p, -k * j % a.p)
+            tail[jj] = tail.get(jj, ZERO) - c
         tail = {j: c for j, c in tail.items() if not c.is_zero()}
-        out.append(ElementaryModule.make(pw, ONE, tail, rr).normalize())
+        out.append(ElementaryModule.make(pw, tail, rr).normalize())
     return out
-
-
-def el_tensor(e1: ElementaryModule, e2: ElementaryModule) -> list:
-    return el_hom(e1.dual(), e2)
 
 
 # rendering / parsing ----------------------------------------------------------
@@ -263,12 +249,11 @@ def render_tail(tail) -> str:
 
 
 def render_elementary(e: ElementaryModule) -> str:
-    c = "" if e.coeff == ONE else f"{render_scalar(e.coeff)}*"
     if not e.tail:
-        return f"El({c}u^{e.p}, 0, {render_jordan(e.r)})"
-    if len(e.tail) == 1 and e.tail[0][0] == 1 and e.coeff == ONE:
+        return f"El(u^{e.p}, 0, {render_jordan(e.r)})"
+    if len(e.tail) == 1 and e.tail[0][0] == 1:
         return f"El({e.p}, {render_scalar(e.tail[0][1])}, {render_jordan(e.r)})"
-    return f"El({c}u^{e.p}, {render_tail(e.tail)}, {render_jordan(e.r)})"
+    return f"El(u^{e.p}, {render_tail(e.tail)}, {render_jordan(e.r)})"
 
 
 def parse_elementary(text: str) -> ElementaryModule:
@@ -284,13 +269,13 @@ def parse_elementary(text: str) -> ElementaryModule:
     if len(args) != 3:
         raise ValueError(f"El(...) needs 3 arguments, got {len(args)}: {text!r}")
     ram, tail_s, r_s = (x.strip() for x in args)
-    coeff = ONE
+    lead = ONE
     if ram.isdecimal():
         p = int(ram)
     elif (split := _u_power(ram)) is not None:
         c, p = split
         if c:
-            coeff = parse_expression(c.removesuffix("*"), _COEFF)
+            lead = parse_expression(c.removesuffix("*"), _COEFF)
     else:
         raise ValueError(f"ramification must read p, u^p or c*u^p, got {ram!r}")
     tail: dict = {}
@@ -304,7 +289,7 @@ def parse_elementary(text: str) -> ElementaryModule:
         else:
             c, j = term, 1
         tail[j] = tail.get(j, ZERO) + parse_expression(c, _COEFF)
-    return ElementaryModule.make(p, coeff, tail, parse_jordan(r_s))
+    return ElementaryModule.make(p, tail, parse_jordan(r_s), lead)
 
 
 def _symbol_not_u(name: str) -> Scalar:

@@ -76,7 +76,7 @@ class ConnectionDescriptor:
 
 
 def _trivial(rank: int) -> FormalType:
-    return FormalType.regular_only(JordanData.identity(rank))
+    return FormalType.make(JordanData.identity(rank))
 
 
 def _is_trivial_type(ft: FormalType) -> bool:
@@ -177,9 +177,7 @@ def _affine_inf(ft: FormalType, a: Scalar, b: Scalar) -> FormalType:
     for e in ft.irregular:
         if not b.is_zero() and e.slope() > 1:
             raise OutOfScopeError("affine shift with slopes > 1 at infinity")
-        root = a.root(e.p)
-        tail = {j: coef / (root ** j) for j, coef in e.tail}
-        els.append(ElementaryModule.make(e.p, ONE, tail, e.r))
+        els.append(ElementaryModule.make(e.p, e.tail, e.r, ONE / a))
     return FormalType.make(ft.regular, els)
 
 
@@ -279,14 +277,12 @@ def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> Connectio
     pts = {}
     for loc, ft in c.finite_points():
         vreg = vanishing_data(ft.regular).scale(chi)
-        vels = [ElementaryModule.make(e.p, ONE, e.taild(),
-                                      e.r.scale(chi.pow(e.p + e.q()))).normalize()
+        vels = [ElementaryModule.make(e.p, e.tail, e.r.scale(chi.pow(e.p + e.q()))).normalize()
                 for e in ft.irregular]
         pts[loc] = _nearby_type(vreg, vels, h_new, lambda needed, vanishing: (
             f"rank {h_new} system forced to carry vanishing data {vanishing} at "
             f"{render_location(loc)} (needs rank >= {needed})"))
-    pts[INF] = FormalType.regular_only(
-        JordanData.make([(chi.inverse(), 1)] * h_new))
+    pts[INF] = FormalType.make(JordanData.make([(chi.inverse(), 1)] * h_new))
     return ConnectionDescriptor.make(pts, h_new)
 
 

@@ -1,7 +1,7 @@
 """Formal types at a point: regular part plus elementary modules.
 
 A formal type is stored in minimal form: every elementary member is
-normalized (coefficient 1, minimal ramification, canonical tail orbit
+normalized (minimal ramification, canonical tail orbit
 representative), members in the same isomorphism class are merged by
 joining their regular parts, and fully regular content lives in the
 Jordan-data regular part.
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import (Scalar, Eigenvalue, ONE, render_scalar, parse_scalar,
+from .scalars import (Scalar, Eigenvalue, render_scalar, parse_scalar,
                       render_eigenvalue, parse_eigenvalue, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
-from .elementary import (ElementaryModule, DetData, el_hom, el_tensor,
+from .elementary import (ElementaryModule, DetData, el_hom,
                          render_elementary, parse_elementary)
 
 
@@ -43,7 +43,7 @@ class FormalType:
             if key in merged:
                 # joining regular parts keeps p and the tail, so the merged
                 # member is still in normal form
-                merged[key] = ElementaryModule(e.p, ONE, e.tail, merged[key].r + e.r,
+                merged[key] = ElementaryModule(e.p, e.tail, merged[key].r + e.r,
                                                normal=True)
             else:
                 merged[key] = e
@@ -51,10 +51,6 @@ class FormalType:
         els = tuple(merged[k] for k in sorted(
             merged, key=lambda k: (k[0], tuple((j, a.sort_key()) for j, a in k[1]))))
         return FormalType(reg, els)
-
-    @staticmethod
-    def regular_only(j: JordanData) -> "FormalType":
-        return FormalType.make(j, ())
 
     def rank(self) -> int:
         return self.regular.rank() + sum(e.rank() for e in self.irregular)
@@ -76,7 +72,7 @@ class FormalType:
         """All summands as elementary modules, the regular part as El(1,0,R)."""
         out = list(self.irregular)
         if self.regular.rank():
-            out.append(ElementaryModule.make(1, ONE, {}, self.regular))
+            out.append(ElementaryModule.make(1, {}, self.regular))
         return out
 
     def __add__(self, other: "FormalType") -> "FormalType":
@@ -86,16 +82,7 @@ class FormalType:
     # -- invariants ------------------------------------------------------------
     def end(self) -> "FormalType":
         parts = self.summands()
-        reg = JordanData.zero()
-        els = []
-        for a in parts:
-            for b in parts:
-                for h in el_hom(a, b):
-                    if h.is_regular():
-                        reg = reg + h.r
-                    else:
-                        els.append(h)
-        return FormalType.make(reg, els)
+        return _hom(parts, parts)
 
     def soln_dim(self) -> int:
         """Horizontal sections: invariants of the regular part."""
@@ -127,8 +114,7 @@ class FormalType:
         for e in self.irregular:
             for i in range(e.p):
                 vec: dict = {}
-                for j, a in e.tail:
-                    tw = a.times_unit(e.p, -j * i % e.p)
+                for j, tw in e.rotated(i).items():
                     for key, val in _scalar_coords(tw, n).items():
                         vec[(j,) + key] = vec.get((j,) + key, Fraction(0)) + val
                 vectors.append(vec)
@@ -136,18 +122,8 @@ class FormalType:
         return len(row_reduce([[v.get(k, Fraction(0)) for k in keys] for v in vectors]))
 
     def tensor(self, other: "FormalType") -> "FormalType":
-        reg = self.regular.tensor(other.regular) if self.regular.rank() and other.regular.rank() else JordanData.zero()
-        els = []
-        for a in self.irregular:
-            if other.regular.rank():
-                els.append(a.twist_regular(other.regular))
-            for b in other.irregular:
-                for t in el_tensor(a, b):
-                    els.append(t)
-        for b in other.irregular:
-            if self.regular.rank():
-                els.append(b.twist_regular(self.regular))
-        return FormalType.make(reg, els)
+        """self (x) other, as Hom(other^vee, self)."""
+        return _hom([b.dual() for b in other.summands()], self.summands())
 
     def exterior_cube(self) -> "FormalType":
         pieces = _refine(self)
@@ -178,6 +154,11 @@ class FormalType:
         return f"FormalType({render_formal_type(self)})"
 
 
+def _hom(xs: list, ys: list) -> FormalType:
+    """Hom from the direct sum of the elementary modules xs to that of ys."""
+    return FormalType.make(JordanData.zero(), [h for a in xs for b in ys for h in el_hom(a, b)])
+
+
 def _scalar_coords(s: Scalar, order: int) -> dict:
     """Rational coordinate vector of a scalar: keys index (radical part,
     denominator, numerator monomial, basis slot in Q(zeta_order))."""
@@ -204,8 +185,7 @@ def _refine(ft: FormalType) -> list:
                 raise ValueError(
                     f"unsupported exterior power: ramified summand {render_elementary(e)} "
                     "has a Jordan block of size > 1")
-            out.append(("el", ElementaryModule.make(e.p, ONE, e.taild(),
-                                                    JordanData.single(eig, 1))))
+            out.append(("el", ElementaryModule.make(e.p, e.tail, JordanData.single(eig, 1))))
     if ft.regular.rank():
         out.append(("reg", ft.regular))
     return out
@@ -216,7 +196,7 @@ def _piece_exterior(kind, obj, k: int):
     if kind == "reg":
         if k > obj.rank():
             return None
-        return FormalType.regular_only(obj.exterior(k)) if k else _trivial_ft()
+        return FormalType.make(obj.exterior(k)) if k else _trivial_ft()
     e = obj
     n = e.rank()
     if k > n:
@@ -228,7 +208,7 @@ def _piece_exterior(kind, obj, k: int):
     if e.p == 1:
         tail = {j: a * Scalar.rational(k) for j, a in e.tail}
         return FormalType.make(JordanData.zero(),
-                               [ElementaryModule.make(1, ONE, tail, e.r.exterior(k))])
+                               [ElementaryModule.make(1, tail, e.r.exterior(k))])
     if k == n:
         return _det_ft(e.det())
     if k == n - 1:
@@ -243,15 +223,15 @@ def _piece_exterior(kind, obj, k: int):
 
 
 def _trivial_ft() -> FormalType:
-    return FormalType.regular_only(JordanData.identity(1))
+    return FormalType.make(JordanData.identity(1))
 
 
 def _det_ft(d: DetData) -> FormalType:
     reg = JordanData.single(d.eig, 1)
     if not d.tail:
-        return FormalType.regular_only(reg)
+        return FormalType.make(reg)
     return FormalType.make(JordanData.zero(),
-                           [ElementaryModule.make(1, ONE, dict(d.tail), reg)])
+                           [ElementaryModule.make(1, d.tail, reg)])
 
 
 def _compositions(n: int, total: int):
@@ -276,7 +256,7 @@ def formal_type_to_json(ft: FormalType) -> dict:
     return {
         "regular": [[render_eigenvalue(e), s] for e, s in ft.regular.blocks],
         "irregular": [
-            {"p": e.p, "c": render_scalar(e.coeff),
+            {"p": e.p, "c": "1",
              "phi": {str(-j): render_scalar(a) for j, a in e.tail},
              "R": [[render_eigenvalue(ei), s] for ei, s in e.r.blocks]}
             for e in ft.irregular
@@ -298,8 +278,8 @@ def formal_type_from_json(d: dict) -> FormalType:
     for ed in d.get("irregular", []):
         tail = {-int(j): parse_scalar(a) for j, a in ed.get("phi", {}).items()}
         r = JordanData.make([(parse_eigenvalue(e), json_int(s, "block size")) for e, s in ed["R"]])
-        coeff = parse_scalar(ed.get("c", "1"))
-        els.append(ElementaryModule.make(json_int(ed["p"], "p"), coeff, tail, r))
+        els.append(ElementaryModule.make(json_int(ed["p"], "p"), tail, r,
+                                         parse_scalar(ed.get("c", "1"))))
     return FormalType.make(reg, els)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, Eigenvalue, ZERO, ONE, OutOfScopeError
+from .scalars import Scalar, Eigenvalue, ONE, OutOfScopeError
 from .jordan import JordanData
 from .elementary import ElementaryModule
 from .formal_type import FormalType
@@ -59,17 +59,16 @@ def _single_term(e: ElementaryModule):
 
 
 def sabbah_transform_raw(e: ElementaryModule) -> ElementaryModule:
-    """F^(0,infty) of an irregular elementary module, *not* normalized (the
-    raw coefficient is kept so a shift term can still be attached)."""
+    """F^(0,infty) of an irregular elementary module, *not* normalized (so
+    a shift term can still be attached at the top pole order)."""
     e = e.normalize()
     if e.is_regular():
         raise OutOfScopeError("regular input: use the vanishing-cycle path")
     q, a = _single_term(e)
     p = e.p
-    coeff = Scalar.rational(Fraction(p, q)) / a
     tail = {q: Scalar.rational(Fraction(p + q, p)) * a}
-    r = e.r.scale(Eigenvalue.of_torsion(Fraction(q, 2)))
-    return ElementaryModule.make(p + q, coeff, tail, r)
+    r = e.r.scale(Eigenvalue.make(Fraction(q, 2)))
+    return ElementaryModule.make(p + q, tail, r, Scalar.rational(Fraction(p, q)) / a)
 
 
 def lft_zero_to_inf(e: ElementaryModule) -> ElementaryModule:
@@ -82,26 +81,22 @@ def lft_shifted(content, s: Scalar):
     elementary module."""
     if isinstance(content, JordanData):
         if s.is_zero():
-            return FormalType.regular_only(content)
+            return FormalType.make(content)
         return FormalType.make(JordanData.zero(),
-                               [ElementaryModule.make(1, ONE, {1: s}, content)])
+                               [ElementaryModule.make(1, {1: s}, content)])
     raw = sabbah_transform_raw(content)
     if not s.is_zero():
-        tail = raw.taild()
-        shift = s / raw.coeff
-        tail[raw.p] = tail.get(raw.p, ZERO) + shift
-        raw = ElementaryModule.make(raw.p, raw.coeff, tail, raw.r)
+        # in coefficient-one coordinates the shift s/c at pole order p is
+        # s itself, the substitution multiplying it by g^p = c
+        raw = ElementaryModule.make(raw.p, {**raw.taild(), raw.p: s}, raw.r)
     return FormalType.make(JordanData.zero(), [raw.normalize()])
 
 
 def epsilon_twist_inf(e: ElementaryModule) -> ElementaryModule:
     """Pullback along z -> -z of a piece of an infinity formal type: the
-    upstairs substitution u -> gamma u with gamma^p = -1 multiplies the tail
-    coefficient at pole order j by gamma^(-j) (canonical root chosen)."""
+    same module on the cover -u^p."""
     e = e.normalize()
-    gamma = Scalar.rational(-1).root(e.p)
-    tail = {j: a / (gamma ** j) for j, a in e.tail}
-    return ElementaryModule.make(e.p, ONE, tail, e.r)
+    return ElementaryModule.make(e.p, e.tail, e.r, -ONE)
 
 
 def lft_inf_to_s(e: ElementaryModule):
@@ -124,5 +119,5 @@ def lft_inf_to_s(e: ElementaryModule):
     ahat = dict(e.tail)[q]
     base = ahat * Scalar.rational(Fraction(p0, e.p))
     a0 = (base ** e.p).root(p0) * (Scalar.rational(Fraction(q, p0)) ** q).root(p0)
-    r0 = e.r.scale(Eigenvalue.of_torsion(Fraction(q, 2)))
-    return Scalar.rational(0), ElementaryModule.make(p0, ONE, {q: a0}, r0).normalize()
+    r0 = e.r.scale(Eigenvalue.make(Fraction(q, 2)))
+    return Scalar.rational(0), ElementaryModule.make(p0, {q: a0}, r0).normalize()

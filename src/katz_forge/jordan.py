@@ -130,7 +130,7 @@ class JordanData:
         for e, s in self.blocks:
             root = e.pow(Fraction(1, p))
             for j in range(p):
-                out.append((root * Eigenvalue.of_torsion(Fraction(j, p)), s))
+                out.append((root * Eigenvalue.make(Fraction(j, p)), s))
         return JordanData.make(out)
 
     def __repr__(self):

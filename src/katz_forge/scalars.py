@@ -678,22 +678,16 @@ def _pseudo_rem(a: dict, b: dict) -> dict:
 
 
 def poly_root(a: dict, p: int) -> dict:
-    """p-th root of a polynomial with leading coefficient a perfect p-th
-    power; raises IrrationalRootError when impossible."""
-    if not a:
-        return {}
-    if p == 1:
-        return dict(a)
-    ml, cl = poly_leading(a)
+    """p-th root of a monic polynomial; raises IrrationalRootError when
+    impossible."""
+    ml, _ = poly_leading(a)
     if any(e % p for _, e in ml):
         raise IrrationalRootError("leading monomial not a p-th power")
-    croot = cyclotomic_root(cl, p)
-    g = {tuple((s, e // p) for s, e in ml): croot}
+    lg_m = tuple((s, e // p) for s, e in ml)
+    g = {lg_m: ONE_C}
     # Newton-style term matching: p * lead(g)^(p-1) * t = leading term of a - g^p
-    lg_m, lg_c = poly_leading(g)
     denom_m = tuple((s, e * (p - 1)) for s, e in lg_m)
-    denom_c = _cyc_pow(lg_c, p - 1) * Fraction(p)
-    denom_ci = denom_c.inverse()
+    denom_ci = Cyclotomic.from_rational(Fraction(1, p))
     for _ in range(len(a) * p * 4 + 8):
         diff = poly_add(a, poly_neg(_poly_pow_full(g, p)))
         if not diff:
@@ -706,34 +700,11 @@ def poly_root(a: dict, p: int) -> dict:
     raise IrrationalRootError("polynomial root iteration did not converge")
 
 
-def _cyc_pow(c: Cyclotomic, n: int) -> Cyclotomic:
-    out = ONE_C
-    for _ in range(n):
-        out = out * c
-    return out
-
-
 def _poly_pow_full(a: dict, n: int) -> dict:
     out = {(): ONE_C}
     for _ in range(n):
         out = poly_mul(out, a)
     return out
-
-
-def cyclotomic_root(c: Cyclotomic, p: int) -> Cyclotomic:
-    """Canonical p-th root of (rational) x (root of unity), staying inside
-    the cyclotomic numbers when the rational part is a perfect p-th power;
-    otherwise raises (radical handling happens at the Scalar level)."""
-    ur = c.as_unit_times_rational()
-    if ur is None:
-        raise IrrationalRootError("cyclotomic coefficient is not unit times rational")
-    q, t = ur
-    num, den = _perfect_root(q.numerator, p), _perfect_root(q.denominator, p)
-    if num is None or den is None:
-        raise IrrationalRootError("rational part is not a perfect p-th power")
-    # minimal-argument root of the unit part
-    tt = t / p
-    return Cyclotomic.zeta(tt.denominator, tt.numerator) * Fraction(num, den)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -747,13 +718,6 @@ def _iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _perfect_root(n: int, p: int):
-    if n <= 0:
-        return None
-    r = _iroot(n, p)
-    return r if r ** p == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -973,18 +937,15 @@ def _poly_radical_root(a: dict, p: int):
     q, t = ur
     t /= p
     out = poly_scale(out, Cyclotomic.zeta(t.denominator, t.numerator))
-    for prime, e in _factor(q.numerator).items():
+    # q is in lowest terms: a denominator prime has a negative exponent
+    primes = [*_factor(q.numerator).items(),
+              *((prime, -e) for prime, e in _factor(q.denominator).items())]
+    for prime, e in primes:
         qq, r = divmod(e, p)
         if qq:
             out = poly_scale(out, Cyclotomic.from_rational(Fraction(prime) ** qq))
         if r:
             rad.append((("prime", prime), Fraction(r, p)))
-    for prime, e in _factor(q.denominator).items():
-        qq, r = divmod(e, p)
-        if qq:
-            out = poly_scale(out, Cyclotomic.from_rational(Fraction(1, prime) ** qq))
-        if r:
-            rad.append((("prime", prime), Fraction(-r, p)))
     # primitive polynomial part
     if not (len(rest) == 1 and () in rest):
         g = poly_root(rest, p)
@@ -1083,10 +1044,6 @@ class Eigenvalue:
     @staticmethod
     def minus_one() -> "Eigenvalue":
         return MINUS_ONE_EIG
-
-    @staticmethod
-    def of_torsion(t) -> "Eigenvalue":
-        return Eigenvalue.make(t)
 
     @staticmethod
     def sym(name: str) -> "Eigenvalue":

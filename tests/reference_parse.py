@@ -195,9 +195,9 @@ def _parse_eig_factor(tok: _Tok) -> Eigenvalue:
         if not name:
             raise ValueError(f"parse error at {tok.pos} in eigenvalue {tok.text!r}")
         if name == "zeta":
-            base = Eigenvalue.of_torsion(Fraction(1, _zeta_order(tok)))
+            base = Eigenvalue.make(Fraction(1, _zeta_order(tok)))
         elif name == "i":
-            base = Eigenvalue.of_torsion(Fraction(1, 4))
+            base = Eigenvalue.make(Fraction(1, 4))
         else:
             base = Eigenvalue.sym(name)
     if tok.peek() == "^":
@@ -236,4 +236,4 @@ def parse_elementary(text: str) -> ElementaryModule:
             if num.startswith("(") and num.endswith(")"):
                 num = num[1:-1]
             tail[j] = tail.get(j, ZERO) + parse_scalar(num)
-    return ElementaryModule.make(p, coeff, tail, parse_jordan(r_s))
+    return ElementaryModule.make(p, tail, parse_jordan(r_s), coeff)

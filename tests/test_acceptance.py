@@ -111,7 +111,7 @@ def test_criterion_5_script_replay():
 
     # ... every intermediate line of the E1 scheme is reproduced ...
     def reg(t):
-        return FormalType.regular_only(J(t))
+        return FormalType.make(J(t))
     s1, s2 = S("a1^2/4"), S("a1^2")
     with open(golden_path("e1.script")) as fh:
         tr = run_script(_golden("l1"), fh.read())
@@ -175,12 +175,12 @@ def test_criterion_6_lambda3_euler_characteristics():
 
 def test_criterion_7_exponential_torus():
     t1 = FormalType.make(JordanData.zero(), [
-        ElementaryModule.make(6, ONE, {3: Scalar.sym("c3"), 1: Scalar.sym("c1")}, J("(1)"))])
+        ElementaryModule.make(6, {3: Scalar.sym("c3"), 1: Scalar.sym("c1")}, J("(1)"))])
     assert t1.exponential_torus_dim() == 3
     for tail in ({3: Scalar.sym("c3"), 1: Scalar.sym("c1")}, {3: Scalar.sym("c3"), 2: Scalar.sym("c2")},
                  {3: Scalar.sym("c3"), 2: Scalar.sym("c2"), 1: Scalar.sym("c1")}):
         t2 = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(3, ONE, dict(tail), J("(1)"))])
+            ElementaryModule.make(3, dict(tail), J("(1)"))])
         assert t2.exponential_torus_dim() == 3
     for name, _, _ in CLASSIFICATION_ROWS:
         c = classification_descriptor(name)
@@ -191,7 +191,7 @@ def test_criterion_7_exponential_torus():
 def test_criterion_8_hypergeometric_example():
     for k in (1, 5, 7):
         tail = {i: Scalar.sym(f"h{i}") for i in range(1, k + 7)}
-        v = ElementaryModule.make(6, ONE, tail, J("(m)"))
+        v = ElementaryModule.make(6, tail, J("(m)"))
         c = ConnectionDescriptor.make({INF: FormalType.make(J("(n)"), [v])}, 7)
         assert c.inf_type().end().irregularity() == 7 * (k + 6)
         assert rigidity_index(c) == 9 - 7 * k

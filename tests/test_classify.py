@@ -182,8 +182,8 @@ class TestVerifyClassification:
         from katz_forge.formal_type import FormalType
         from katz_forge.jordan import parse_jordan
         bad_zero = parse_jordan("(xE2, y^-1E2, E3)")
-        ck = FormalType.regular_only(bad_zero).checks()
-        pat = g2_pattern_check(FormalType.regular_only(bad_zero)
+        ck = FormalType.make(bad_zero).checks()
+        pat = g2_pattern_check(FormalType.make(bad_zero)
                                .formal_monodromy().eigenvalue_multiset())
         assert not (ck["self_dual"] and ck["det_trivial"] and pat)
 

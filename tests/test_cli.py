@@ -65,6 +65,13 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", "/nonexistent/x.json")
         assert code == 2
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        code, out, err = invoke(capsys, "check", str(p))
+        assert code == 2
+        assert "malformed JSON" in err and out == ""
+
 
 class TestReplay:
     def test_e1_trace(self, capsys):
@@ -127,6 +134,20 @@ class TestSingleOps:
         named = invoke(capsys, "twist", "0:m, inf:m^-1", golden_path("e4_1.json"))
         assert named[0] == 0
         assert invoke(capsys, "twist", "m, m^-1", golden_path("e4_1.json")) == named
+
+    @pytest.mark.parametrize("argv", [
+        ("mc", "-l", golden_path("l1.json")),
+        ("mc", "-l", golden_path("l1.json"), "--json"),
+        ("mc", "--json", "-l", golden_path("l1.json")),
+        ("twist", "-1,-1", golden_path("e4_1.json")),
+    ])
+    def test_argument_may_start_with_minus(self, argv, capsys):
+        # the first line of e1.script, as a command; -- is not needed
+        op, arg, *rest = [a for a in argv if a != "--json"]
+        flags = ["--json"] if "--json" in argv else []
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        assert (code, out, err) == invoke(capsys, op, *flags, "--", arg, *rest)
 
     def test_mc_precondition_error(self, capsys):
         code, _, err = invoke(capsys, "mc", "m", golden_path("e4_1.json"))

@@ -23,7 +23,7 @@ def R(q):
 class TestNormalize:
     def test_e1_scheme_row(self):
         # El((4/a1^2)u^2, a1^2/(2u), (l,l^-1)) is isomorphic to El(2, a1, (l,l^-1))
-        e = ElementaryModule.make(2, R(4) / A1 ** 2, {1: A1 ** 2 / R(2)}, LL)
+        e = ElementaryModule.make(2, {1: A1 ** 2 / R(2)}, LL, R(4) / A1 ** 2)
         assert e.normalize() == El(2, A1, LL).normalize()
 
     def test_orbit_choice(self):
@@ -46,7 +46,7 @@ class TestDual:
         # acceptance: duality is an involution on 1000 randomized modules
         rng = random.Random(20240809)
         eigs = [Eigenvalue.one(), Eigenvalue.minus_one(), Eigenvalue.sym("l"),
-                Eigenvalue.sym("x").inverse(), Eigenvalue.of_torsion(Fraction(1, 3))]
+                Eigenvalue.sym("x").inverse(), Eigenvalue.make(Fraction(1, 3))]
         coeffs = [A1, A2, R(2) * A1, A1 + A2, R(Fraction(3, 4)) * A2, -A1]
         for _ in range(1000):
             p = rng.choice([1, 2, 3, 4, 6])
@@ -56,7 +56,7 @@ class TestDual:
             tail = {}
             for j in rng.sample([1, 2, 3], rng.randint(1, 2)):
                 tail[j] = rng.choice(coeffs)
-            e = ElementaryModule.make(p, ONE, tail, r)
+            e = ElementaryModule.make(p, tail, r)
             assert e.dual().dual().iso_eq(e)
 
     def test_det_of_dual(self):
@@ -96,7 +96,7 @@ class TestIsoEq:
     def test_equivalence_relation(self):
         rng = random.Random(7)
         mods = [El(2, A1, LL), El(2, -A1, LL), ElementaryModule.make(
-            2, R(4) / A1 ** 2, {1: A1 ** 2 / R(2)}, LL)]
+            2, {1: A1 ** 2 / R(2)}, LL, R(4) / A1 ** 2)]
         for e in mods:
             assert e.iso_eq(e)
         for a in mods:
@@ -110,10 +110,10 @@ class TestIsoEq:
 class TestReduce:
     def test_paper_isomorphisms(self):
         r = J("(m)")
-        assert ElementaryModule.make(6, ONE, {3: A1}, r).normalize() == \
-            ElementaryModule.make(2, ONE, {1: A1}, r.push(3)).normalize()
-        assert ElementaryModule.make(4, ONE, {2: A1}, r).normalize() == \
-            ElementaryModule.make(2, ONE, {1: A1}, r.push(2)).normalize()
+        assert ElementaryModule.make(6, {3: A1}, r).normalize() == \
+            ElementaryModule.make(2, {1: A1}, r.push(3)).normalize()
+        assert ElementaryModule.make(4, {2: A1}, r).normalize() == \
+            ElementaryModule.make(2, {1: A1}, r.push(2)).normalize()
 
     def test_already_minimal(self):
         e = El(2, A1, J("(m)")).normalize()
@@ -121,7 +121,7 @@ class TestReduce:
 
     def test_preserves_rank_and_irregularity(self):
         r = J("(m, -1)")
-        e = ElementaryModule.make(6, ONE, {3: A1}, r)
+        e = ElementaryModule.make(6, {3: A1}, r)
         red = e.normalize()
         assert red.rank() == e.rank()
         assert red.irregularity() == e.irregularity()
@@ -191,7 +191,7 @@ class TestPullback:
 
 def test_render_parse_round_trip():
     mods = [El(2, A1, LL), El(6, A1, "(1)"),
-            ElementaryModule.make(2, ONE, {2: A1, 1: A2}, J("(m)")),
+            ElementaryModule.make(2, {2: A1, 1: A2}, J("(m)")),
             El(1, A1 + A2, "(m, m^-1)")]
     for e in mods:
         assert parse_elementary(render_elementary(e)) == e
@@ -199,12 +199,12 @@ def test_render_parse_round_trip():
 
 def test_coefficient_must_be_nonzero():
     with pytest.raises(ValueError):
-        ElementaryModule.make(2, R(0), {1: A1}, J("(1)"))
+        ElementaryModule.make(2, {1: A1}, J("(1)"), R(0))
 
 
 def test_normalize_propagates_root_errors():
     with pytest.raises(IrrationalRootError):
-        ElementaryModule.make(2, A1 + A2, {1: A1}, J("(1)")).normalize()
+        ElementaryModule.make(2, {1: A1}, J("(1)"), A1 + A2).normalize()
 
 
 def test_det_matches_formal_monodromy_determinant():
@@ -235,12 +235,28 @@ def _modules(draw):
     p = draw(st.integers(1, 6))
     js = draw(st.lists(st.integers(1, 4), max_size=2, unique=True))
     tail = {j: draw(st.sampled_from(_TAIL_POOL)) for j in js}
-    return ElementaryModule.make(p, draw(st.sampled_from(_COEFF_POOL)), tail,
-                                 draw(st.sampled_from(_R_POOL)))
+    return ElementaryModule.make(p, tail, draw(st.sampled_from(_R_POOL)),
+                                 draw(st.sampled_from(_COEFF_POOL)))
+
+
+_SCALE_POOL = [R(2), R(-3), R(Fraction(1, 4)), A1, -A2, Scalar.zeta(3), R(4) * A1 ** 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modules(), st.sampled_from(_SCALE_POOL))
+def test_cover_substitution_matches_explicit_roots(e, a):
+    # the z -> -z twist and the affine map z -> a z at infinity as the
+    # covers -u^p and u^p / a, against dividing each term by a root power
+    gamma = R(-1).root(e.p)
+    eps = ElementaryModule.make(e.p, {j: c / gamma ** j for j, c in e.tail}, e.r)
+    assert ElementaryModule.make(e.p, e.tail, e.r, -ONE).normalize() == eps.normalize()
+    root = a.root(e.p)
+    aff = ElementaryModule.make(e.p, {j: c / root ** j for j, c in e.tail}, e.r)
+    assert ElementaryModule.make(e.p, e.tail, e.r, ONE / a).normalize() == aff.normalize()
 
 
 def _raw_copy(e):
-    return ElementaryModule.make(e.p, e.coeff, e.taild(), e.r)
+    return ElementaryModule.make(e.p, e.taild(), e.r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,8 +277,8 @@ def test_normalize_sets_flag_and_is_idempotent(e):
 def test_iso_eq_is_equality_of_normal_forms(e, k):
     # a zeta_p rotation of the tail is an isomorphic module
     z = {j: a.times_unit(e.p, j * k % e.p) for j, a in e.tail}
-    rot = ElementaryModule.make(e.p, ONE, z, e.r)
-    e1 = ElementaryModule.make(e.p, ONE, e.taild(), e.r)
+    rot = ElementaryModule.make(e.p, z, e.r)
+    e1 = ElementaryModule.make(e.p, e.taild(), e.r)
     assert e1.iso_eq(rot)
     assert e1.normalize() == rot.normalize()
 
@@ -297,7 +313,7 @@ def _orbit_min_by_rotations(e):
         key = tuple((-j, _coords_pos_key(a)) for j, a in sorted(tail.items(), reverse=True))
         if best is None or key < best[0]:
             best = (key, tail)
-    return ElementaryModule.make(e.p, ONE, best[1], e.r)
+    return ElementaryModule.make(e.p, best[1], e.r)
 
 
 _ORBIT_POOL = _TAIL_POOL + [R(2), R(-3), Scalar.zeta(12, 5), Scalar.zeta(5) + R(1),
@@ -308,7 +324,7 @@ _ORBIT_POOL = _TAIL_POOL + [R(2), R(-3), Scalar.zeta(12, 5), Scalar.zeta(5) + R(
 def _rotation_inputs(draw):
     p = draw(st.integers(1, 6))
     js = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
-    return ElementaryModule.make(p, ONE, {j: draw(st.sampled_from(_ORBIT_POOL)) for j in js},
+    return ElementaryModule.make(p, {j: draw(st.sampled_from(_ORBIT_POOL)) for j in js},
                                  J("(1)"))
 
 
@@ -322,7 +338,7 @@ def test_orbit_min_is_the_least_rotation(e):
 @given(_modules(), st.sampled_from(_R_POOL))
 def test_formal_type_members_are_normal(e, r2):
     # the second member shares the first one's tail, so make merges them
-    other = ElementaryModule.make(e.p, e.coeff, e.taild(), r2)
+    other = ElementaryModule.make(e.p, e.taild(), r2)
     ft = FormalType.make(JordanData.zero(), [e, other])
     for m in ft.irregular:
         assert m.normal

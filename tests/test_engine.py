@@ -27,7 +27,7 @@ S = parse_scalar
 
 
 def reg(t):
-    return FormalType.regular_only(J(t))
+    return FormalType.make(J(t))
 
 
 def gm(zero, inf, rank=7):
@@ -61,7 +61,7 @@ class TestLocalFourier:
 
     def test_regular_entry_point_error(self):
         with pytest.raises(OutOfScopeError):
-            lft_zero_to_inf(ElementaryModule.make(1, Scalar.rational(1), {}, J("(m)")))
+            lft_zero_to_inf(ElementaryModule.make(1, {}, J("(m)")))
 
     def test_shift_round_trip(self):
         s = S("a1^2/4")
@@ -77,14 +77,14 @@ class TestLocalFourier:
         assert s.is_zero()
 
     def test_slope_one_ramified_out_of_scope(self):
-        e = ElementaryModule.make(2, Scalar.rational(1), {2: Scalar.sym("a"), 1: Scalar.sym("b")}, J("(1)"))
+        e = ElementaryModule.make(2, {2: Scalar.sym("a"), 1: Scalar.sym("b")}, J("(1)"))
         with pytest.raises(OutOfScopeError):
             lft_inf_to_s(e)
 
     def test_slope_transport(self):
         # (p, q) -> (p + q, q) under the transform, slope numerator stays 1
         for p, q in [(1, 1), (2, 1), (5, 1), (3, 1)]:
-            e = ElementaryModule.make(p, Scalar.rational(1), {q: Scalar.sym("a")}, J("(1)"))
+            e = ElementaryModule.make(p, {q: Scalar.sym("a")}, J("(1)"))
             out = lft_zero_to_inf(e)
             assert (out.p, out.q()) == (p + q, q)
 
@@ -184,11 +184,11 @@ class TestExclusions:
                     "El(1, 2*a, (m)) + El(1, -2*a, (m^-1)) + (1)")}, 7)
         f = op_fourier(c)
         assert f.rank == 2
-        assert f.point(a) == FormalType.regular_only(J("(lE2)"))
+        assert f.point(a) == FormalType.make(J("(lE2)"))
         assert f.point(S("2*a")) == reg("(m, 1)")
         tw = op_twist(f, {S("0"): E("1"), a: E("l^-1"), S("-a"): E("l"),
                           S("2*a"): E("1"), S("-2*a"): E("m"), INF: E("m^-1")})
-        assert tw.inf_type() == FormalType.regular_only(J("(m^-1 E2)"))
+        assert tw.inf_type() == FormalType.make(J("(m^-1 E2)"))
         with pytest.raises(ContradictionError) as exc:
             op_middle_convolution(tw, E("m^-1"))
         assert "rank 1" in exc.value.report
@@ -266,7 +266,7 @@ class TestHypergeometricExample:
     def test_rig_9_minus_7k(self):
         for k in (1, 5, 7):
             tail = {i: Scalar.sym(f"h{i}") for i in range(1, k + 7)}
-            v = ElementaryModule.make(6, Scalar.rational(1), tail, J("(m)"))
+            v = ElementaryModule.make(6, tail, J("(m)"))
             inf = FormalType.make(J("(n)"), [v])
             c = ConnectionDescriptor.make({INF: inf}, 7)
             end = c.inf_type().end()

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,19 +11,36 @@ from katz_forge.formal_type import (FormalType, parse_formal_type,
                                     render_formal_type, formal_type_to_json,
                                     formal_type_from_json)
 from katz_forge.fourier import vanishing_data, nearby_from_vanishing
+from katz_forge.engine import load_descriptor, parse_script, run_script
+from katz_forge.cli import golden_dir, golden_path
 
 J = parse_jordan
 FT = parse_formal_type
 A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 SHIFT_EIGS = [Eigenvalue.one(), Eigenvalue.minus_one(),
-              Eigenvalue.of_torsion(Fraction(1, 3)),
-              Eigenvalue.of_torsion(Fraction(1, 4)),
-              Eigenvalue.of_torsion(Fraction(2, 5)), Eigenvalue.sym("x")]
+              Eigenvalue.make(Fraction(1, 3)),
+              Eigenvalue.make(Fraction(1, 4)),
+              Eigenvalue.make(Fraction(2, 5)), Eigenvalue.sym("x")]
 
 E1 = FT("El(2, a1, (l, l^-1)) + El(2, 2*a1, (1)) + (-1)")
 E2 = FT("El(2, a1, (1)) + El(2, a2, (1)) + El(2, a1+a2, (1)) + (-1)")
 E3 = FT("El(3, a1, (1)) + El(3, -a1, (1)) + (1)")
 E4 = FT("El(6, a1, (1)) + (-1)")
+
+
+def _golden_and_replay_types() -> set:
+    """The distinct formal types at the points of the golden descriptors and
+    of every step of the e1-e4 replays."""
+    fts = set()
+    for name in os.listdir(golden_dir()):
+        if name.endswith(".json"):
+            fts.update(ft for _, ft in load_descriptor(golden_path(name)).points)
+    for i in range(1, 5):
+        with open(golden_path(f"e{i}.script")) as fh:
+            steps = parse_script(fh.read())
+        for c in run_script(load_descriptor(golden_path(f"l{i}.json")), steps):
+            fts.update(ft for _, ft in c.points)
+    return fts
 
 
 class TestInvariants:
@@ -39,7 +57,7 @@ class TestInvariants:
         assert ft.slopes()[slope] == dim
 
     def test_purely_regular(self):
-        f = FormalType.regular_only(J("(J(3), J(3), 1)"))
+        f = FormalType.make(J("(J(3), J(3), 1)"))
         assert f.irregularity() == 0
 
 
@@ -56,11 +74,11 @@ class TestEnd:
         assert end.soln_dim() == soln
 
     def test_regular_centralizer(self):
-        f = FormalType.regular_only(J("(J(3), J(3), 1)"))
+        f = FormalType.make(J("(J(3), J(3), 1)"))
         assert f.end().soln_dim() == 17
 
     def test_rank_one(self):
-        f = FormalType.regular_only(J("(m)"))
+        f = FormalType.make(J("(m)"))
         end = f.end()
         assert end.rank() == 1 and end.irregularity() == 0
         assert end.soln_dim() == 1
@@ -88,7 +106,7 @@ class TestChecks:
         assert not ck["self_dual"] and not ck["det_trivial"]
 
     def test_regular_self_dual(self):
-        f = FormalType.regular_only(J("(xE2, x^-1E2, E3)"))
+        f = FormalType.make(J("(xE2, x^-1E2, E3)"))
         ck = f.checks()
         assert ck["self_dual"] and ck["det_trivial"]
 
@@ -106,7 +124,7 @@ class TestFormalMonodromy:
         assert fm == J("(iE2, -1*iE2, J(2), 1)")
 
     def test_regular_identity(self):
-        f = FormalType.regular_only(J("(J(3), x)"))
+        f = FormalType.make(J("(J(3), x)"))
         assert f.formal_monodromy() == J("(J(3), x)")
 
 
@@ -119,15 +137,15 @@ class TestTorus:
 
     def test_p6_q3(self):
         f = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(6, ONE, {3: Scalar.sym("b3"), 1: Scalar.sym("b1")}, J("(1)"))])
+            ElementaryModule.make(6, {3: Scalar.sym("b3"), 1: Scalar.sym("b1")}, J("(1)"))])
         assert f.exponential_torus_dim() == 3
 
     def test_p3_q3(self):
         full = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(3, ONE, {3: Scalar.sym("b3"), 2: Scalar.sym("b2"), 1: Scalar.sym("b1")}, J("(1)"))])
+            ElementaryModule.make(3, {3: Scalar.sym("b3"), 2: Scalar.sym("b2"), 1: Scalar.sym("b1")}, J("(1)"))])
         assert full.exponential_torus_dim() == 3
         no_mid = FormalType.make(JordanData.zero(), [
-            ElementaryModule.make(3, ONE, {3: Scalar.sym("b3"), 1: Scalar.sym("b1")}, J("(1)"))])
+            ElementaryModule.make(3, {3: Scalar.sym("b3"), 1: Scalar.sym("b1")}, J("(1)"))])
         assert no_mid.exponential_torus_dim() == 3
 
     def test_single_exponential(self):
@@ -160,7 +178,7 @@ class TestExteriorCube:
         assert l3.regular.invariants_dim() >= 2
 
     def test_rank3_regular_det(self):
-        f = FormalType.regular_only(J("(x, x^-1, 1)"))
+        f = FormalType.make(J("(x, x^-1, 1)"))
         l3 = f.exterior_cube()
         assert l3.rank() == 1
         assert l3.regular == J("(1)")
@@ -208,6 +226,12 @@ class TestTensorAndJson:
         t = E4.tensor(E4.dual())
         assert t.rank() == 49
         assert t.irregularity() == E4.end().irregularity()
+
+    def test_end_is_dual_tensor_on_every_golden_type(self):
+        fts = _golden_and_replay_types()
+        assert len(fts) == 50
+        for ft in fts:
+            assert ft.dual().tensor(ft) == ft.end(), render_formal_type(ft)
 
     def test_json_round_trip(self):
         for ft in (E1, E2, E3, E4):

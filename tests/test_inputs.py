@@ -101,7 +101,7 @@ CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, FormalT
                "euler_char_middle, parse_jordan, parse_scalar\n"
                "from katz_forge.classify import CandidateShape\n"
                "def reg(t):\n"
-               "    return FormalType.regular_only(parse_jordan(t))\n"
+               "    return FormalType.make(parse_jordan(t))\n"
                "KUMMER = ConnectionDescriptor.make("
                "{parse_scalar('0'): reg('(m)'), 'inf': reg('(m^-1)')}, 1)\n")
 CALLS = {
@@ -176,7 +176,7 @@ def test_parse_elementary_raises(text):
 @pytest.mark.parametrize("text,p,tail", ELEMENTARY_EQUAL)
 def test_parse_elementary_reads(text, p, tail):
     tail = {j: parse_scalar(c) for j, c in tail.items()}
-    assert parse_elementary(text) == ElementaryModule.make(p, ONE, tail, parse_jordan("(1)"))
+    assert parse_elementary(text) == ElementaryModule.make(p, tail, parse_jordan("(1)"))
 
 
 def test_large_cyclotomic_order_is_out_of_scope(tmp_path):

@@ -14,7 +14,7 @@ from oracle import (jordan_matrix, kronecker, jordan_structure,
 J = parse_jordan
 one = Eigenvalue.one()
 minus = Eigenvalue.minus_one()
-ii = Eigenvalue.of_torsion(Fraction(1, 4))
+ii = Eigenvalue.make(Fraction(1, 4))
 lam = Eigenvalue.sym("l")
 
 EIGS = [one, minus, ii, lam]
