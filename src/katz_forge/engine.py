@@ -297,7 +297,7 @@ class ScriptStep:
 
 def parse_script(text: str):
     """The steps of a construction script; a malformed line raises
-    ValueError naming the line."""
+    ValueError naming the line, an OutOfScopeError staying one."""
     steps = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -305,7 +305,7 @@ def parse_script(text: str):
             try:
                 steps.append(parse_step(line))
             except ValueError as exc:
-                raise ValueError(f"line {ln}: {exc}") from None
+                raise type(exc)(f"line {ln}: {exc}") from None
     return steps
 
 

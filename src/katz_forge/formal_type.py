@@ -80,9 +80,12 @@ class FormalType:
                                self.irregular + other.irregular)
 
     # -- invariants ------------------------------------------------------------
+    def hom(self, other: "FormalType") -> "FormalType":
+        """Hom(self, other), additive in each argument."""
+        return _hom(self.summands(), other.summands())
+
     def end(self) -> "FormalType":
-        parts = self.summands()
-        return _hom(parts, parts)
+        return self.hom(self)
 
     def soln_dim(self) -> int:
         """Horizontal sections: invariants of the regular part."""

@@ -26,18 +26,18 @@ from math import gcd, lcm
 from typing import Callable, NamedTuple
 
 
-class IrrationalRootError(ValueError):
+class OutOfScopeError(ValueError):
+    """Raised for inputs outside the supported calculus (slopes > 1 at the
+    transform source, cyclotomic fields of degree above _MAX_DEGREE, ...)."""
+
+
+class IrrationalRootError(OutOfScopeError):
     """Raised when a requested p-th root does not exist in the supported
     radical extension of the coefficient field."""
 
 
-class IrrationalSumError(ValueError):
+class IrrationalSumError(OutOfScopeError):
     """Raised when adding scalars with incompatible radical parts."""
-
-
-class OutOfScopeError(ValueError):
-    """Raised for inputs outside the supported calculus (slopes > 1 at the
-    transform source, cyclotomic fields of degree above _MAX_DEGREE, ...)."""
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +828,8 @@ class Scalar:
         """self * zeta_n^k, without the gcd of ``make``: a unit leaves num
         and den coprime, den monic and the monomials of num in place, so
         the product is already canonical."""
+        if k % n == 0:
+            return self
         return Scalar(tuple((m, c.times_zeta(n, k)) for m, c in self.num), self.den, self.rad)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":

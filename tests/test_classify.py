@@ -162,6 +162,27 @@ class TestVerifyClassification:
         assert ex["adjoint_dim"] == 8 and not ex["adjoint_ok"]
         assert ex["rig"] == 2  # rigid, but not a G2 connection
 
+    def test_local_invariants_once_per_call(self, monkeypatch):
+        # 11 distinct types at 0 and 4 at inf give 15 Ends; the Lambda^3 rows
+        # have 3 distinct infinity types.  A second call counts the same: no
+        # state outlives a call
+        from katz_forge.formal_type import FormalType
+        calls = {"end": 0, "exterior_cube": 0}
+        for what in calls:
+            def counted(self, _what=what, _fn=getattr(FormalType, what)):
+                calls[_what] += 1
+                return _fn(self)
+            monkeypatch.setattr(FormalType, what, counted)
+        for _ in range(2):
+            assert verify_classification()["ok"]
+            assert calls == {"end": 15, "exterior_cube": 3}
+            calls.update(end=0, exterior_cube=0)
+
+    def test_verify_row_matches_the_shared_report(self):
+        rep = verify_classification()
+        for name in ("e4_1", "e2", "excluded"):
+            assert classify.verify_row(name) == rep[name]
+
     def test_adjoint_dim_at_zero(self):
         # e2 and excluded are the published 6 and 8; the regular elements of
         # the other rows have the rank of G2, 2, or more

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from katz_forge.scalars import (Scalar, Eigenvalue, ONE,
-                                IrrationalRootError, parse_scalar)
+                                IrrationalRootError, IrrationalSumError, parse_scalar)
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.formal_type import FormalType
 from katz_forge.elementary import (ElementaryModule, El, el_hom,
@@ -294,6 +294,33 @@ def test_iso_eq_matches_normal_forms_on_pairs(e1, e2):
        st.integers(1, 12), st.integers(0, 11))
 def test_times_unit_is_multiplication_by_zeta(a, n, k):
     assert a.times_unit(n, k) == a * Scalar.zeta(n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_identity_rotation_is_self(n):
+    for a in _TAIL_POOL + _COEFF_POOL + [R(0), A1.root(2)]:
+        assert a.times_unit(n, 0) is a
+        assert a.times_unit(n, n) == a
+        assert a.times_unit(n, -2 * n) is a
+    e = ElementaryModule.make(n, {1: A1, 2: A2}, LL)
+    assert all(e.rotated(0)[j] is a for j, a in e.tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_modules(), min_size=1, max_size=3), st.lists(_modules(), min_size=1, max_size=3))
+def test_hom_is_additive(xs, ys):
+    # Hom of direct sums is the sum of the pairwise pieces, and
+    # End(A + B) = End A + Hom(A, B) + Hom(B, A) + End B
+    def ft(members):
+        return FormalType.make(JordanData.zero(), members)
+    a, b = ft(xs), ft(ys)
+    try:
+        pieces = [ft([x]).hom(ft([y])) for x in xs for y in ys]
+        sides = [a.end(), a.hom(b), b.hom(a), b.end()]
+    except IrrationalSumError:
+        return  # the modules leave the scalar domain: no Hom to compare
+    assert a.hom(b) == sum(pieces[1:], pieces[0])
+    assert (a + b).end() == sum(sides[1:], sides[0])
 
 
 def _coords_pos_key(s):

@@ -233,6 +233,21 @@ class TestTensorAndJson:
         for ft in fts:
             assert ft.dual().tensor(ft) == ft.end(), render_formal_type(ft)
 
+    def test_hom_is_additive_on_every_golden_type(self):
+        # End(A + B) = End A + Hom(A, B) + Hom(B, A) + End B, and Hom(A, B)
+        # is the sum of the Homs between members, split at every member
+        fts = _golden_and_replay_types()
+        assert len(fts) == 50
+        for ft in fts:
+            parts = [FormalType.make(JordanData.zero(), [e]) for e in ft.summands()]
+            end = ft.end()
+            for i in range(1, len(parts)):
+                a, b = sum(parts[1:i], parts[0]), sum(parts[i + 1:], parts[i])
+                assert a + b == ft
+                assert a.end() + a.hom(b) + b.hom(a) + b.end() == end, render_formal_type(ft)
+                pieces = [x.hom(y) for x in parts[:i] for y in parts[i:]]
+                assert sum(pieces[1:], pieces[0]) == a.hom(b), render_formal_type(ft)
+
     def test_json_round_trip(self):
         for ft in (E1, E2, E3, E4):
             assert formal_type_from_json(formal_type_to_json(ft)) == ft

@@ -2,9 +2,11 @@
 
 Every descriptor row must make ``check`` exit 2 with an ``error:`` line,
 in-process and in a ``python -O`` subprocess (where an ``assert`` would
-vanish).  The El(...) rows are not reachable from descriptor JSON, so they
-go straight to ``parse_elementary``, again in both modes, and so do the
-library calls of ``CALLS``."""
+vanish); every ``OUT_OF_SCOPE`` row, well formed but outside the scalar
+domain, must make it exit 3 with an ``out of scope:`` line.  The El(...)
+rows are not reachable from descriptor JSON, so they go straight to
+``parse_elementary``, again in both modes, and so do the library calls of
+``CALLS``."""
 
 import copy
 import json
@@ -15,9 +17,10 @@ import sys
 import pytest
 
 from katz_forge.cli import golden_path, main
+from katz_forge.engine import parse_script
 from katz_forge.elementary import ElementaryModule, parse_elementary
 from katz_forge.jordan import parse_jordan
-from katz_forge.scalars import ONE, Scalar, parse_eigenvalue, parse_scalar
+from katz_forge.scalars import ONE, OutOfScopeError, Scalar, parse_eigenvalue, parse_scalar
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -68,6 +71,23 @@ DESCRIPTORS = {
     # phi keys "1" and "0" are pole orders -1 and 0: not tail terms
     "phi_pole_order_negative": _e2_with(E2_EL + ("phi",), {"1": "a1"}),
     "phi_pole_order_zero": _e2_with(E2_EL + ("phi",), {"0": "a1"}),
+}
+
+
+def _rank4_inf_pair(c):
+    """(1)^4 at 0; at inf El(c*u^2, a1/u, (1)) next to El(u^2, a1/u, (1))."""
+    el = {"p": 2, "c": c, "phi": {"-1": "a1"}, "R": [["1", 1]]}
+    return {"rank": 4, "points": {"0": {"regular": [["1", 4]], "irregular": []},
+                                  "inf": {"regular": [], "irregular": [el, dict(el, c="1")]}}}
+
+
+# well-formed descriptors whose invariants leave the scalar domain: check
+# exits 3 with one `out of scope:` line
+OUT_OF_SCOPE = {
+    # End needs a1^(3/2) - a1: a sum of different radical parts
+    "radical_sum": _rank4_inf_pair("a1"),
+    # the cover (a1+1)*u^2 needs the square root of a1+1
+    "irrational_root": _rank4_inf_pair("a1+1"),
 }
 
 ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
@@ -130,6 +150,39 @@ def files(tmp_path):
         out[name] = tmp_path / f"{name}.json"
         out[name].write_text(json.dumps(d))
     return out
+
+
+def _out_of_scope(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("out of scope: ")
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_SCOPE))
+def test_check_exits_3(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(OUT_OF_SCOPE[name]))
+    code = main(["check", str(path)])
+    out = capsys.readouterr()
+    assert code == 3, out.err
+    assert out.out == ""
+    assert _out_of_scope(out.err)
+
+
+def test_check_exits_3_under_O(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name, d in OUT_OF_SCOPE.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        res = subprocess.run([sys.executable, "-O", "-m", "katz_forge.cli", "check", str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 3, (name, res.stdout, res.stderr)
+        assert res.stdout == "", name
+        assert _out_of_scope(res.stderr), (name, res.stderr)
+
+
+def test_script_argument_out_of_scope_keeps_its_type():
+    with pytest.raises(OutOfScopeError, match="^line 2: "):
+        parse_script("fourier\nmoebius affine (1+2^(1/2))^(1/2)\n")
 
 
 @pytest.mark.parametrize("name", sorted(DESCRIPTORS))
