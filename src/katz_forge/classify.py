@@ -162,11 +162,11 @@ def _special_pole2_shapes(profile, reg_rank) -> list:
     return []
 
 
-def _once(found: dict, invariant, ft: FormalType):
-    """invariant(ft), or its value in found from earlier in the same call."""
-    key = (invariant, ft)
+def _once(found: dict, invariant, arg):
+    """invariant(arg), or its value in found from earlier in the same call."""
+    key = (invariant, arg)
     if key not in found:
-        found[key] = invariant(ft)
+        found[key] = invariant(arg)
     return found[key]
 
 
@@ -174,18 +174,21 @@ def computed_local_invariants() -> dict:
     """Honest per-profile value sets computed with the Hom machinery: each
     shape's irr(End) and dim Soln(End) over the regular patterns R
     (eigenvalues from m201).  Both add up over End(irr + R) = End irr +
-    Hom(irr, R) + Hom(R, irr) + End R, and End irr and End R run once."""
+    Hom(irr, R) + Hom(R, irr) + End R, Hom(R, irr) = Hom(irr, R)^vee counts
+    as Hom(irr, R), and End irr and End R run once."""
     out, found = {}, {}
     for profile in enumerate_slope_profiles():
         per_shape = []
         for shape in candidate_shapes(profile):
             irr = FormalType.make(JordanData.zero(), shape.summands)
-            irr_end = irr.end()
-            ends = [(irr_end, irr.hom(reg), reg.hom(irr), _once(found, FormalType.end, reg))
-                    for reg in map(FormalType.make, _jordan_patterns(shape.reg_rank, 200, True))]
+            irr_end = irr.end_counts()
+            ends = []
+            for reg in map(FormalType.make, _jordan_patterns(shape.reg_rank, 200, True)):
+                mixed = irr.hom_counts(reg)
+                ends.append(irr_end + mixed + mixed + _once(found, FormalType.end_counts, reg))
             per_shape.append((shape.label,
-                              frozenset(sum(e.irregularity() for e in end) for end in ends),
-                              frozenset(sum(e.soln_dim() for e in end) for end in ends)))
+                              frozenset(end.irregularity() for end in ends),
+                              frozenset(end.soln_dim() for end in ends)))
         out[profile] = {"soln": frozenset().union(*(sol for _, _, sol in per_shape)),
                         "irr": frozenset().union(*(irr for _, irr, _ in per_shape)),
                         "shapes": tuple(per_shape)}
@@ -376,12 +379,21 @@ _LAMBDA3_ROWS = {"e1_1", "e1_2", "e1_3", "e2", "e3"}
 
 
 def classification_descriptor(name: str):
+    return _descriptor(name, {})
+
+
+def _descriptor(name: str, found: dict):
+    """The row's descriptor, each text of it parsed once per call."""
     from .engine import ConnectionDescriptor
     rows = dict((n, (z, i)) for n, z, i in CLASSIFICATION_ROWS + (EXCLUDED_ROW,))
     z, i = rows[name]
     return ConnectionDescriptor.make(
-        {Scalar.rational(0): FormalType.make(parse_jordan(z)),
-         "inf": parse_formal_type(i)}, 7)
+        {Scalar.rational(0): _once(found, _regular_type, z),
+         "inf": _once(found, parse_formal_type, i)}, 7)
+
+
+def _regular_type(text: str) -> FormalType:
+    return FormalType.make(parse_jordan(text))
 
 
 def adjoint_dim_at_zero(name: str) -> int:
@@ -400,11 +412,11 @@ def _pattern(ft: FormalType) -> bool:
 
 def _verify_row(name: str, found: dict) -> dict:
     from .engine import rigidity_from_ends, euler_char_middle
-    c = classification_descriptor(name)
+    c = _descriptor(name, found)
     zero_ft = c.point(Scalar.rational(0))
     inf_ft = c.inf_type()
     checks = {}
-    ends = [_once(found, FormalType.end, ft) for _, ft in c.points]
+    ends = [_once(found, FormalType.end_counts, ft) for _, ft in c.points]
     checks["rig"] = rigidity_from_ends(c.rank, ends)
     checks["rig_ok"] = checks["rig"] == 2
     ck0, cki = (_once(found, FormalType.checks, ft) for ft in (zero_ft, inf_ft))
@@ -416,7 +428,7 @@ def _verify_row(name: str, found: dict) -> dict:
     checks["pattern_inf"] = _once(found, _pattern, inf_ft)
     if name in _LAMBDA3_ROWS:
         fam = {Scalar.rational(0): FormalType.make(zero_ft.regular.exterior(3)),
-               "inf": _once(found, FormalType.exterior_cube, inf_ft)}
+               "inf": _once(found, FormalType.exterior_cube_counts, inf_ft)}
         chi = euler_char_middle(c, fam)
         checks["lambda3_chi"] = chi
         checks["lambda3_ok"] = chi >= 1
@@ -432,8 +444,9 @@ def _verify_row(name: str, found: dict) -> dict:
 def verify_classification() -> dict:
     """Run every check on the 10 classification rows and the excluded 13th
     candidate; the rows must all pass and the candidate must fail on the
-    adjoint invariant.  The rows share their End, checks, torus dimension,
-    pattern and Lambda^3 per distinct point type."""
+    adjoint invariant.  The rows share their parsed texts, and the counts
+    of End, checks, torus dimension, pattern and the counts of Lambda^3 per
+    distinct point type."""
     found: dict = {}
     names = [n for n, _, _ in CLASSIFICATION_ROWS] + ["excluded"]
     report = {name: _verify_row(name, found) for name in names}

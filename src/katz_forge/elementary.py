@@ -18,8 +18,8 @@ raw modules.  The flag takes no part in equality or hashing, so a raw
 module and its equal normal form compare and hash equal.
 
 Isomorphism testing, duals, determinants,
-Hom decomposition (Sabbah), reduction to minimal form and Kummer pullback
-all live here.
+Hom decomposition (Sabbah) and its counts, reduction to minimal form and
+Kummer pullback all live here.
 """
 
 from __future__ import annotations
@@ -209,16 +209,16 @@ def El(p: int, tail, r) -> ElementaryModule:
 
 # -- Hom / tensor decomposition (Sabbah) -------------------------------------
 
-def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
-    """Hom(E1, E2) decomposed into elementary modules (normalized); regular
-    summands come out with empty tail."""
+def _hom_summands(e1: ElementaryModule, e2: ElementaryModule):
+    """Hom(E1, E2) as raw summands (p, tail, R), one per k mod gcd(p1, p2):
+    the tail is a dict without zero terms, neither reduced nor rotated to
+    its orbit minimum."""
     a = e1.normalize()
     b = e2.normalize()
     d = gcd(a.p, b.p)
     p1p, p2p = a.p // d, b.p // d
     pw = a.p * b.p // d
     rr = a.r.dual().pull(p2p).tensor(b.r.pull(p1p))
-    out = []
     for k in range(d):
         tail: dict = {}
         for j, c in b.tail:
@@ -229,9 +229,27 @@ def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
         for j, c in a.rotated(k).items():
             jj = j * p2p
             tail[jj] = tail.get(jj, ZERO) - c
-        tail = {j: c for j, c in tail.items() if not c.is_zero()}
-        out.append(ElementaryModule.make(pw, tail, rr).normalize())
-    return out
+        yield pw, {j: c for j, c in tail.items() if not c.is_zero()}, rr
+
+
+def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
+    """Hom(E1, E2) decomposed into elementary modules (normalized); regular
+    summands come out with empty tail."""
+    return [ElementaryModule.make(p, tail, r).normalize()
+            for p, tail, r in _hom_summands(e1, e2)]
+
+
+def hom_counts(e1: ElementaryModule, e2: ElementaryModule) -> tuple:
+    """(irr, dim Soln) of Hom(E1, E2), read from the raw summands: rk R
+    times the top pole order, and the invariants of R where the tail is
+    empty.  Reduction and the orbit minimum change neither number."""
+    irr = soln = 0
+    for _, tail, r in _hom_summands(e1, e2):
+        if tail:
+            irr += r.rank() * max(tail)
+        else:
+            soln += r.invariants_dim()
+    return irr, soln
 
 
 # rendering / parsing ----------------------------------------------------------

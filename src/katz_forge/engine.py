@@ -95,12 +95,13 @@ def parse_location(text: str):
 # -- invariants ---------------------------------------------------------------
 
 def rigidity_index(c: ConnectionDescriptor) -> int:
-    return rigidity_from_ends(c.rank, [ft.end() for _, ft in c.points])
+    return rigidity_from_ends(c.rank, [ft.end_counts() for _, ft in c.points])
 
 
 def rigidity_from_ends(rank: int, ends) -> int:
     """(2 - r) rank^2 + sum over the r singular points of
-    dim Soln(End) - irr(End), given End of the formal type at each point."""
+    dim Soln(End) - irr(End), given End of the formal type at each point
+    (a FormalType or its Counts)."""
     out = (2 - len(ends)) * rank * rank
     for end in ends:
         out += end.soln_dim() - end.irregularity()

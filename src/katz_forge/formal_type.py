@@ -10,6 +10,13 @@ This module computes every local invariant the classification consumes:
 rank/slope/irregularity bookkeeping, End via pairwise Hom, solution-space
 dimensions via centralizers, self-duality and determinant checks, formal
 monodromy, exponential-torus dimension and exterior cubes.
+
+Hom, End and Lambda^3 come in two readings of one decomposition.  ``hom``,
+``end`` and ``exterior_cube`` build the module as a normalized, merged
+FormalType, for output and comparison.  ``hom_counts``, ``end_counts`` and
+``exterior_cube_counts`` return only its ``Counts`` (rank, irr, dim Soln),
+read from the raw Hom summands, which is all a rigidity index or an Euler
+characteristic needs.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from math import lcm
 from .scalars import (Scalar, Eigenvalue, render_scalar, parse_scalar,
                       render_eigenvalue, parse_eigenvalue, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
-from .elementary import (ElementaryModule, DetData, el_hom,
+from .elementary import (ElementaryModule, DetData, el_hom, hom_counts,
                          render_elementary, parse_elementary)
 
 
@@ -87,6 +94,21 @@ class FormalType:
     def end(self) -> "FormalType":
         return self.hom(self)
 
+    def hom_counts(self, other: "FormalType") -> "Counts":
+        """The counts of Hom(self, other), with no module built."""
+        return _hom_counts(self.summands(), other.summands())
+
+    def end_counts(self) -> "Counts":
+        """The counts of End(self).  Hom(b, a) = Hom(a, b)^vee has the same
+        irr and Soln, so each unordered pair of summands runs once and a
+        pair of two different summands counts twice."""
+        xs = self.summands()
+        total = Counts(0, 0, 0)
+        for i, a in enumerate(xs):
+            mixed = _hom_counts([a], xs[:i])
+            total = total + _hom_counts([a], [a]) + mixed + mixed
+        return total
+
     def soln_dim(self) -> int:
         """Horizontal sections: invariants of the regular part."""
         return self.regular.invariants_dim()
@@ -129,21 +151,19 @@ class FormalType:
         return _hom([b.dual() for b in other.summands()], self.summands())
 
     def exterior_cube(self) -> "FormalType":
-        pieces = _refine(self)
         total = FormalType.make(JordanData.zero(), ())
-        for comp in _compositions(len(pieces), 3):
-            factors = []
-            for (kind, obj), k in zip(pieces, comp):
-                f = _piece_exterior(kind, obj, k)
-                if f is None:
-                    break
-                if k:
-                    factors.append(f)
-            else:
-                prod = factors[0] if factors else _trivial_ft()
-                for f in factors[1:]:
-                    prod = prod.tensor(f)
-                total = total + prod
+        for head, last in _cube_terms(self):
+            total = total + (last if head is None else head.tensor(last))
+        return total
+
+    def exterior_cube_counts(self) -> "Counts":
+        """The counts of Lambda^3: each term's last tensor is read as the
+        counts of Hom(last^vee, head)."""
+        total = Counts(0, 0, 0)
+        for head, last in _cube_terms(self):
+            total = total + (
+                Counts(last.rank(), last.irregularity(), last.soln_dim()) if head is None
+                else _hom_counts([b.dual() for b in last.summands()], head.summands()))
         return total
 
     def dual(self) -> "FormalType":
@@ -162,6 +182,39 @@ def _hom(xs: list, ys: list) -> FormalType:
     return FormalType.make(JordanData.zero(), [h for a in xs for b in ys for h in el_hom(a, b)])
 
 
+@dataclass(frozen=True)
+class Counts:
+    """Rank, irregularity and dim Soln of a formal type that is only
+    counted: all that a rigidity index or an Euler characteristic reads."""
+
+    rk: int
+    irr: int
+    soln: int
+
+    def rank(self) -> int:
+        return self.rk
+
+    def irregularity(self) -> int:
+        return self.irr
+
+    def soln_dim(self) -> int:
+        return self.soln
+
+    def __add__(self, other: "Counts") -> "Counts":
+        return Counts(self.rk + other.rk, self.irr + other.irr, self.soln + other.soln)
+
+
+def _hom_counts(xs: list, ys: list) -> Counts:
+    """The counts of Hom from the direct sum of xs to that of ys."""
+    irr = soln = 0
+    for a in xs:
+        for b in ys:
+            h_irr, h_soln = hom_counts(a, b)
+            irr += h_irr
+            soln += h_soln
+    return Counts(sum(a.rank() for a in xs) * sum(b.rank() for b in ys), irr, soln)
+
+
 def _scalar_coords(s: Scalar, order: int) -> dict:
     """Rational coordinate vector of a scalar: keys index (radical part,
     denominator, numerator monomial, basis slot in Q(zeta_order))."""
@@ -174,6 +227,27 @@ def _scalar_coords(s: Scalar, order: int) -> dict:
 
 
 # -- exterior cube -------------------------------------------------------------
+
+def _cube_terms(ft: FormalType):
+    """Lambda^3 of ft as a sum over the compositions of 3 across its
+    refined pieces, one term per composition: the tensor product of the
+    pieces' exterior powers.  Yields (the product of every factor but the
+    last, or None for a single factor; the last factor)."""
+    pieces = _refine(ft)
+    for comp in _compositions(len(pieces), 3):
+        factors = []
+        for (kind, obj), k in zip(pieces, comp):
+            if k:
+                f = _piece_exterior(kind, obj, k)
+                if f is None:
+                    break
+                factors.append(f)
+        else:
+            head = None
+            for f in factors[:-1]:
+                head = f if head is None else head.tensor(f)
+            yield head, factors[-1]
+
 
 def _refine(ft: FormalType) -> list:
     """Split elementary members into single-Jordan-block pieces; returns a
@@ -195,17 +269,16 @@ def _refine(ft: FormalType) -> list:
 
 
 def _piece_exterior(kind, obj, k: int):
-    """Lambda^k of a single summand, as a FormalType (possibly zero rank)."""
+    """Lambda^k of a single summand, k >= 1, as a FormalType (possibly
+    zero rank); None when k exceeds its rank."""
     if kind == "reg":
         if k > obj.rank():
             return None
-        return FormalType.make(obj.exterior(k)) if k else _trivial_ft()
+        return FormalType.make(obj.exterior(k))
     e = obj
     n = e.rank()
     if k > n:
         return None
-    if k == 0:
-        return _trivial_ft()
     if k == 1:
         return FormalType.make(JordanData.zero(), [e])
     if e.p == 1:
@@ -223,10 +296,6 @@ def _piece_exterior(kind, obj, k: int):
         return FormalType.make(JordanData.zero(), [dualized.scale_eigenvalues(d.eig)])
     raise ValueError(
         f"unsupported exterior power Lambda^{k} of {render_elementary(e)} (rank {n})")
-
-
-def _trivial_ft() -> FormalType:
-    return FormalType.make(JordanData.identity(1))
 
 
 def _det_ft(d: DetData) -> FormalType:

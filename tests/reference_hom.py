@@ -1,0 +1,46 @@
+"""Hom(E1, E2) on the common cover, an independent oracle for the slopes
+and the irregularity of ``el_hom`` and ``hom_counts``.  It uses no gcd, no
+reduction to minimal ramification and no orbit minimum, only
+``Scalar.times_unit`` and scalar subtraction, and takes the modules as
+given, normal or not.
+
+Pull both modules back along w -> w^N, N = p1*p2.  There [N]^*El(p, phi, R)
+splits into the p exponential factors phi(zeta_p^k w^(N/p)), k mod p, each
+carrying the pullback of R (Levelt-Turrittin).  So [N]^*Hom(E1, E2) is the
+sum over (k1, k2) of the factor with exponent phi2(zeta_p2^k2 .) -
+phi1(zeta_p1^k1 .), of rank rk R1 * rk R2.  A factor whose exponent has
+pole order m in w has slope m/N downstairs, and irr Hom(E1, E2) is the sum
+of slope times rank.
+"""
+
+from fractions import Fraction
+
+from katz_forge.scalars import ZERO
+
+
+def _factor(e, n: int, k: int) -> dict:
+    """The exponent of the k-th factor of [n]^*e: the term a/u^j becomes
+    a zeta_p^(-jk) / w^(j n/p)."""
+    m = n // e.p
+    return {j * m: a.times_unit(e.p, -j * k % e.p) for j, a in e.tail}
+
+
+def cover_slopes(e1, e2) -> dict:
+    """slope -> dimension of that slope part of Hom(E1, E2)."""
+    n = e1.p * e2.p
+    dim = e1.r.rank() * e2.r.rank()
+    out: dict = {}
+    for k1 in range(e1.p):
+        phi1 = _factor(e1, n, k1)
+        for k2 in range(e2.p):
+            diff = _factor(e2, n, k2)
+            for j, a in phi1.items():
+                diff[j] = diff.get(j, ZERO) - a
+            order = max((j for j, a in diff.items() if not a.is_zero()), default=0)
+            slope = Fraction(order, n)
+            out[slope] = out.get(slope, 0) + dim
+    return out
+
+
+def cover_irregularity(e1, e2) -> Fraction:
+    return sum((s * d for s, d in cover_slopes(e1, e2).items()), Fraction(0))

@@ -163,11 +163,12 @@ class TestVerifyClassification:
         assert ex["rig"] == 2  # rigid, but not a G2 connection
 
     def test_local_invariants_once_per_call(self, monkeypatch):
-        # 11 distinct types at 0 and 4 at inf give 15 Ends; the Lambda^3 rows
-        # have 3 distinct infinity types.  A second call counts the same: no
+        # 11 distinct types at 0 and 4 at inf give 15 End counts; the
+        # Lambda^3 rows have 3 distinct infinity types.  No End or Lambda^3
+        # module is built, only counted.  A second call counts the same: no
         # state outlives a call
         from katz_forge.formal_type import FormalType
-        calls = {"end": 0, "exterior_cube": 0}
+        calls = dict.fromkeys(("end_counts", "exterior_cube_counts", "end", "exterior_cube"), 0)
         for what in calls:
             def counted(self, _what=what, _fn=getattr(FormalType, what)):
                 calls[_what] += 1
@@ -175,8 +176,25 @@ class TestVerifyClassification:
             monkeypatch.setattr(FormalType, what, counted)
         for _ in range(2):
             assert verify_classification()["ok"]
-            assert calls == {"end": 15, "exterior_cube": 3}
-            calls.update(end=0, exterior_cube=0)
+            assert calls == {"end_counts": 15, "exterior_cube_counts": 3,
+                             "end": 0, "exterior_cube": 0}
+            calls.update(dict.fromkeys(calls, 0))
+
+    def test_row_texts_parsed_once_per_call(self, monkeypatch):
+        # 11 distinct texts at 0 and 4 at inf; the public descriptor keeps
+        # parsing its row afresh
+        parsed = []
+        for what in ("_regular_type", "parse_formal_type"):
+            def counted(text, _fn=getattr(classify, what)):
+                parsed.append(text)
+                return _fn(text)
+            monkeypatch.setattr(classify, what, counted)
+        for _ in range(2):
+            assert verify_classification()["ok"]
+            assert len(parsed) == len(set(parsed)) == 15
+            parsed.clear()
+        assert classify.classification_descriptor("e3") == classify.classification_descriptor("e3")
+        assert len(parsed) == 4
 
     def test_verify_row_matches_the_shared_report(self):
         rep = verify_classification()

@@ -8,8 +8,9 @@ from katz_forge.scalars import (Scalar, Eigenvalue, ONE,
                                 IrrationalRootError, IrrationalSumError, parse_scalar)
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.formal_type import FormalType
-from katz_forge.elementary import (ElementaryModule, El, el_hom,
+from katz_forge.elementary import (ElementaryModule, El, el_hom, hom_counts,
                                    render_elementary, parse_elementary)
+import reference_hom as ref
 
 A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 J = parse_jordan
@@ -370,3 +371,53 @@ def test_formal_type_members_are_normal(e, r2):
     for m in ft.irregular:
         assert m.normal
         assert _raw_copy(m).normalize() == m
+
+
+# -- the counts reading of Hom ---------------------------------------------------
+
+def _hom_or_none(fn, a, b):
+    """fn(a, b), or None where the modules leave the scalar domain."""
+    try:
+        return fn(a, b)
+    except IrrationalSumError:
+        return None
+
+
+def _module_counts(hs):
+    return (sum(h.irregularity() for h in hs),
+            sum(h.r.invariants_dim() for h in hs if h.is_regular()))
+
+
+def _module_slopes(hs):
+    out = {}
+    for h in hs:
+        out[h.slope()] = out.get(h.slope(), 0) + h.rank()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modules(), _modules())
+def test_hom_counts_are_the_numbers_of_el_hom(a, b):
+    # irr and dim Soln read from the raw summands are those of the
+    # normalized modules, the same both ways round (Hom(b, a) is the dual),
+    # and where el_hom leaves the scalar domain the counts do too
+    hs = _hom_or_none(el_hom, a, b)
+    counts = _hom_or_none(hom_counts, a, b)
+    if hs is None:
+        assert counts is None
+        return
+    assert counts == _module_counts(hs) == hom_counts(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modules(), _modules())
+def test_hom_agrees_with_the_cover_oracle(a, b):
+    # raw modules, pulled back to w^(p1 p2) with no gcd, reduction or orbit
+    # minimum: the same slopes as el_hom and the same irr as both readings
+    hs = _hom_or_none(el_hom, a, b)
+    slopes = _hom_or_none(ref.cover_slopes, a, b)
+    if hs is None:
+        assert slopes is None
+        return
+    assert slopes == _module_slopes(hs)
+    assert ref.cover_irregularity(a, b) == hom_counts(a, b)[0] == _module_counts(hs)[0]

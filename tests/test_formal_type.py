@@ -248,6 +248,30 @@ class TestTensorAndJson:
                 pieces = [x.hom(y) for x in parts[:i] for y in parts[i:]]
                 assert sum(pieces[1:], pieces[0]) == a.hom(b), render_formal_type(ft)
 
+    def test_counts_match_the_modules_on_every_golden_type(self):
+        # the counts read from the raw Hom summands are the numbers of the
+        # normalized modules: End, 500 Homs, and Lambda^3 where it is defined
+        def numbers(x):
+            return x.rank(), x.irregularity(), x.soln_dim()
+        fts = sorted(_golden_and_replay_types(), key=render_formal_type)
+        assert len(fts) == 50
+        cubes = 0
+        for i, ft in enumerate(fts):
+            assert numbers(ft.end_counts()) == numbers(ft.end()), render_formal_type(ft)
+            for s in range(1, 11):
+                g = fts[(i + 5 * s) % len(fts)]
+                assert numbers(ft.hom_counts(g)) == numbers(ft.hom(g)), render_formal_type(ft)
+            try:
+                cube = ft.exterior_cube()
+            except (ValueError, ArithmeticError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    ft.exterior_cube_counts()
+                assert raised.type is type(exc)
+                continue
+            assert numbers(ft.exterior_cube_counts()) == numbers(cube), render_formal_type(ft)
+            cubes += 1
+        assert cubes == 47
+
     def test_json_round_trip(self):
         for ft in (E1, E2, E3, E4):
             assert formal_type_from_json(formal_type_to_json(ft)) == ft
