@@ -181,11 +181,11 @@ def computed_local_invariants() -> dict:
         per_shape = []
         for shape in candidate_shapes(profile):
             irr = FormalType.make(JordanData.zero(), shape.summands)
-            irr_end = irr.end_counts()
+            irr_end = irr.end()
             ends = []
             for reg in map(FormalType.make, _jordan_patterns(shape.reg_rank, 200, True)):
-                mixed = irr.hom_counts(reg)
-                ends.append(irr_end + mixed + mixed + _once(found, FormalType.end_counts, reg))
+                mixed = irr.hom(reg)
+                ends.append(irr_end + mixed + mixed + _once(found, FormalType.end, reg))
             per_shape.append((shape.label,
                               frozenset(end.irregularity() for end in ends),
                               frozenset(end.soln_dim() for end in ends)))
@@ -291,6 +291,8 @@ def solve_rigidity_tuples(r: int, table=None, z_regular=Z_REGULAR) -> list:
     2 = (2-r) 49 - sum(s) + sum(z) with one irregular point drawing its
     values from the published table and regular points drawing z from the
     regular-point table."""
+    if r < 1:
+        raise ValueError(f"rigidity tuples need R >= 1 singular points, got R = {r}")
     if table is None:
         table = enumerate_local_invariants()
     pairs = []
@@ -416,7 +418,7 @@ def _verify_row(name: str, found: dict) -> dict:
     zero_ft = c.point(Scalar.rational(0))
     inf_ft = c.inf_type()
     checks = {}
-    ends = [_once(found, FormalType.end_counts, ft) for _, ft in c.points]
+    ends = [_once(found, FormalType.end, ft) for _, ft in c.points]
     checks["rig"] = rigidity_from_ends(c.rank, ends)
     checks["rig_ok"] = checks["rig"] == 2
     ck0, cki = (_once(found, FormalType.checks, ft) for ft in (zero_ft, inf_ft))
@@ -428,7 +430,7 @@ def _verify_row(name: str, found: dict) -> dict:
     checks["pattern_inf"] = _once(found, _pattern, inf_ft)
     if name in _LAMBDA3_ROWS:
         fam = {Scalar.rational(0): FormalType.make(zero_ft.regular.exterior(3)),
-               "inf": _once(found, FormalType.exterior_cube_counts, inf_ft)}
+               "inf": _once(found, FormalType.exterior_cube, inf_ft)}
         chi = euler_char_middle(c, fam)
         checks["lambda3_chi"] = chi
         checks["lambda3_ok"] = chi >= 1
@@ -462,6 +464,8 @@ def verify_classification() -> dict:
 def kummer_pullback_descriptor(c, k: int):
     """Pullback of a two-point (0, inf) descriptor along z -> z^k."""
     from .engine import ConnectionDescriptor, INF
+    if k < 1:
+        raise ValueError(f"Kummer pullback needs k >= 1, got k = {k}")
     pts = {}
     for loc, ft in c.points:
         if loc != INF and not loc.is_zero():

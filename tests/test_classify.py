@@ -164,11 +164,10 @@ class TestVerifyClassification:
 
     def test_local_invariants_once_per_call(self, monkeypatch):
         # 11 distinct types at 0 and 4 at inf give 15 End counts; the
-        # Lambda^3 rows have 3 distinct infinity types.  No End or Lambda^3
-        # module is built, only counted.  A second call counts the same: no
-        # state outlives a call
+        # Lambda^3 rows have 3 distinct infinity types.  A second call
+        # counts the same: no state outlives a call
         from katz_forge.formal_type import FormalType
-        calls = dict.fromkeys(("end_counts", "exterior_cube_counts", "end", "exterior_cube"), 0)
+        calls = dict.fromkeys(("end", "exterior_cube"), 0)
         for what in calls:
             def counted(self, _what=what, _fn=getattr(FormalType, what)):
                 calls[_what] += 1
@@ -176,8 +175,7 @@ class TestVerifyClassification:
             monkeypatch.setattr(FormalType, what, counted)
         for _ in range(2):
             assert verify_classification()["ok"]
-            assert calls == {"end_counts": 15, "exterior_cube_counts": 3,
-                             "end": 0, "exterior_cube": 0}
+            assert calls == {"end": 15, "exterior_cube": 3}
             calls.update(dict.fromkeys(calls, 0))
 
     def test_row_texts_parsed_once_per_call(self, monkeypatch):

@@ -247,6 +247,23 @@ class TestErrorBoundary:
         self._error(*invoke(capsys, "twist", spec, golden_path("e4_1.json")),
                     "parentheses nested deeper than 64")
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_pullback_order_below_1(self, k, tmp_path, capsys):
+        # the error names k, on a regular descriptor on Gm and on one with
+        # an irregular point
+        gm = tmp_path / "gm.json"
+        gm.write_text(json.dumps({"rank": 1, "points": {
+            "0": {"regular": [["m", 1]], "irregular": []},
+            "inf": {"regular": [["m^-1", 1]], "irregular": []}}}))
+        for path in (str(gm), golden_path("e1_1.json")):
+            self._error(*invoke(capsys, "pullback", "--", k, path),
+                        f"Kummer pullback needs k >= 1, got k = {k}")
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_tuples_below_1(self, r, capsys):
+        self._error(*invoke(capsys, "classify", "--tuples", r),
+                    f"rigidity tuples need R >= 1 singular points, got R = {r}")
+
     def test_check_directory(self, tmp_path, capsys):
         self._error(*invoke(capsys, "check", str(tmp_path)), "[Errno")
 

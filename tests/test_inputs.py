@@ -131,6 +131,13 @@ CALLS = {
     "rational_value_of_zeta_3": "Cyclotomic.zeta(3).rational_value()",
     # an auxiliary family with no member has no rank
     "euler_char_middle_empty_family": "euler_char_middle(KUMMER, {})",
+    # a family that misses a singular location or has one the descriptor
+    # lacks: chi would be a plausible wrong number
+    "euler_char_middle_missing_location":
+        "euler_char_middle(KUMMER, {parse_scalar('0'): reg('(1)')})",
+    "euler_char_middle_extra_location":
+        "euler_char_middle(KUMMER, {parse_scalar('0'): reg('(1)'), parse_scalar('1'): reg('(1)'),"
+        " 'inf': reg('(1)')})",
     # a shape with a rank-2 regular part given a rank-1 pattern
     "shape_formal_type_wrong_regular_rank":
         "CandidateShape((), 2, 'reg2', ()).formal_type(parse_jordan('(1)'))",
