@@ -303,9 +303,12 @@ def solve_rigidity_tuples(r: int, table=None, z_regular=Z_REGULAR) -> list:
     found = set()
     n_reg = r - 1
     target = 2 - (2 - r) * 49
+    zs = sorted(z_regular)
     for s, z in pairs:
         need = target + s - z  # sum of z over the regular points
-        for zr in combinations_with_replacement(sorted(z_regular), n_reg):
+        if not n_reg * zs[0] <= need <= n_reg * zs[-1]:
+            continue  # no n_reg values of zs sum to need
+        for zr in combinations_with_replacement(zs, n_reg):
             if sum(zr) == need:
                 tup = (0,) * n_reg + (s,) + tuple(sorted(zr)) + (z,)
                 found.add(tup)

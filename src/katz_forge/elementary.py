@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import (Scalar, Eigenvalue, ZERO, ONE, SCALAR,
                       render_scalar, parse_expression, split_top)
@@ -210,46 +210,49 @@ def El(p: int, tail, r) -> ElementaryModule:
 # -- Hom / tensor decomposition (Sabbah) -------------------------------------
 
 def _hom_summands(e1: ElementaryModule, e2: ElementaryModule):
-    """Hom(E1, E2) as raw summands (p, tail, R), one per k mod gcd(p1, p2):
-    the tail is a dict without zero terms, neither reduced nor rotated to
-    its orbit minimum."""
-    a = e1.normalize()
-    b = e2.normalize()
+    """Hom(E1, E2) as (a, b, tails): E1 and E2 normalized, and one raw tail
+    per k mod gcd(p1, p2), a dict without zero terms, neither reduced nor
+    rotated to its orbit minimum.  Summand k is El(n, tails[k], R) with
+    n = lcm(p1, p2) and R = [n/p1]^*R1^vee (x) [n/p2]^*R2, the same for
+    every k."""
+    a, b = e1.normalize(), e2.normalize()
     d = gcd(a.p, b.p)
     p1p, p2p = a.p // d, b.p // d
-    pw = a.p * b.p // d
-    rr = a.r.dual().pull(p2p).tensor(b.r.pull(p1p))
+    own = {j * p1p: c for j, c in b.tail}
+    tails = []
     for k in range(d):
-        tail: dict = {}
-        for j, c in b.tail:
-            jj = j * p1p
-            tail[jj] = tail.get(jj, ZERO) + c
+        tail = dict(own)
         # phi1((zeta w)^{p2'}) with zeta = e^(2 pi i k d / (p1 p2)) is phi1
         # under the deck rotation by zeta_p1^k
         for j, c in a.rotated(k).items():
             jj = j * p2p
             tail[jj] = tail.get(jj, ZERO) - c
-        yield pw, {j: c for j, c in tail.items() if not c.is_zero()}, rr
+        tails.append({j: c for j, c in tail.items() if not c.is_zero()})
+    return a, b, tails
 
 
 def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
     """Hom(E1, E2) decomposed into elementary modules (normalized); regular
     summands come out with empty tail."""
-    return [ElementaryModule.make(p, tail, r).normalize()
-            for p, tail, r in _hom_summands(e1, e2)]
+    a, b, tails = _hom_summands(e1, e2)
+    n = lcm(a.p, b.p)
+    rr = a.r.dual().pull(n // a.p).tensor(b.r.pull(n // b.p))
+    return [ElementaryModule.make(n, tail, rr).normalize() for tail in tails]
 
 
 def hom_counts(e1: ElementaryModule, e2: ElementaryModule) -> tuple:
-    """(irr, dim Soln) of Hom(E1, E2), read from the raw summands: rk R
-    times the top pole order, and the invariants of R where the tail is
-    empty.  Reduction and the orbit minimum change neither number."""
-    irr = soln = 0
-    for _, tail, r in _hom_summands(e1, e2):
-        if tail:
-            irr += r.rank() * max(tail)
-        else:
-            soln += r.invariants_dim()
-    return irr, soln
+    """(irr, dim Soln) of Hom(E1, E2) from the raw tails and the Jordan
+    blocks, with no module built: rk R1 rk R2 times each tail's top pole
+    order, and where a tail is empty, the sum of min(s1, s2) over the block
+    pairs (x, s1) of R1 and (y, s2) of R2 with x = y.  A tail is empty only
+    where p1 = p2 (no factor of p divides every pole order of a normal
+    tail), so R = R1^vee (x) R2, and for one k only (no deck rotation but 1
+    fixes a normal tail)."""
+    a, b, tails = _hom_summands(e1, e2)
+    irr = a.r.rank() * b.r.rank() * sum(max(t) for t in tails if t)
+    if {} not in tails:
+        return irr, 0
+    return irr, sum(min(s1, s2) for x, s1 in a.r.blocks for y, s2 in b.r.blocks if x == y)
 
 
 # rendering / parsing ----------------------------------------------------------

@@ -12,10 +12,12 @@ dimensions via centralizers, self-duality and determinant checks, formal
 monodromy, exponential-torus dimension and exterior cubes.
 
 ``hom``, ``end`` and ``exterior_cube`` return ``Counts`` (rank, irr,
-dim Soln), read from the raw Hom summands: all that a rigidity index or an
-Euler characteristic reads.  ``tensor`` is the one product built as a
-module, a normalized, merged FormalType; the factors of a Lambda^3 term
-but the last are built with it.
+dim Soln), read from the raw Hom tails and the members' Jordan blocks
+with no Hom module built: all that a rigidity index or an Euler
+characteristic reads.  ``tensor`` is the one product built as a module, a
+normalized, merged FormalType; it builds the head of a Lambda^3 term, the
+product of its factors but the last.  Within one ``exterior_cube`` call
+each piece's Lambda^k and each head is built once.
 """
 
 from __future__ import annotations
@@ -215,21 +217,27 @@ def _cube_terms(ft: FormalType):
     """Lambda^3 of ft as a sum over the compositions of 3 across its
     refined pieces, one term per composition: the tensor product of the
     pieces' exterior powers.  Yields (the product of every factor but the
-    last, or None for a single factor; the last factor)."""
+    last, or None for a single factor; the last factor).  Each Lambda^k of
+    a piece, and each head, is built once per call."""
     pieces = _refine(ft)
+    powers: dict = {}  # (piece index, k) -> Lambda^k of the piece, or None
+    heads: dict = {}  # the keys of the factors but the last -> their product
     for comp in _compositions(len(pieces), 3):
-        factors = []
-        for (kind, obj), k in zip(pieces, comp):
-            if k:
-                f = _piece_exterior(kind, obj, k)
-                if f is None:
-                    break
-                factors.append(f)
+        keys = []
+        for key in ((i, k) for i, k in enumerate(comp) if k):
+            if key not in powers:
+                powers[key] = _piece_exterior(*pieces[key[0]], key[1])
+            if powers[key] is None:
+                break
+            keys.append(key)
         else:
-            head = None
-            for f in factors[:-1]:
-                head = f if head is None else head.tensor(f)
-            yield head, factors[-1]
+            *init, last = keys
+            if tuple(init) not in heads:
+                head = None
+                for key in init:
+                    head = powers[key] if head is None else head.tensor(powers[key])
+                heads[tuple(init)] = head
+            yield heads[tuple(init)], powers[last]
 
 
 def _refine(ft: FormalType) -> list:

@@ -12,12 +12,18 @@ phi1(zeta_p1^k1 .), of rank rk R1 * rk R2.  A factor whose exponent has
 pole order m in w has slope m/N downstairs, and irr Hom(E1, E2) is the sum
 of slope times rank.
 
+``jordan_soln`` is dim Soln of Hom(E1, E2) by tensoring Jordan data,
+the route ``hom_counts`` took before it read block pairs: the invariants
+of [n/p1]^*R1^vee (x) [n/p2]^*R2, n = lcm(p1, p2), once per regular
+summand, their number read from the slope-0 part of ``cover_slopes``.
+
 ``hom_module`` and ``exterior_cube_module`` build Hom and Lambda^3 as
 modules through ``FormalType.tensor``, for the laws that compare modules:
 the engine only counts them.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from katz_forge.formal_type import FormalType, _cube_terms
 from katz_forge.jordan import JordanData
@@ -50,6 +56,14 @@ def cover_slopes(e1, e2) -> dict:
 
 def cover_irregularity(e1, e2) -> Fraction:
     return sum((s * d for s, d in cover_slopes(e1, e2).items()), Fraction(0))
+
+
+def jordan_soln(e1, e2) -> Fraction:
+    a, b = e1.normalize(), e2.normalize()
+    n = lcm(a.p, b.p)
+    rr = a.r.dual().pull(n // a.p).tensor(b.r.pull(n // b.p))
+    regular = Fraction(cover_slopes(e1, e2).get(Fraction(0), 0), n * rr.rank())
+    return regular * rr.invariants_dim()
 
 
 def hom_module(a, b):

@@ -106,6 +106,21 @@ class TestRigidityTuples:
                 s, z = tup[:r], tup[r:]
                 assert 2 == (2 - r) * 49 - sum(s) + sum(z)
 
+    def test_no_sums_enumerated_where_none_can_match(self, monkeypatch):
+        # from R = 4 on, every (s, z) pair needs a regular sum above
+        # (R - 1) * max Z_REGULAR, so no combination is drawn and R = 40
+        # returns at once; R = 2 still draws where a sum can match
+        drawn = []
+        def counted(zs, n, _fn=classify.combinations_with_replacement):
+            drawn.append(n)
+            return _fn(zs, n)
+        monkeypatch.setattr(classify, "combinations_with_replacement", counted)
+        for r in (5, 40):
+            assert solve_rigidity_tuples(r) == []
+        assert drawn == []
+        assert set(solve_rigidity_tuples(2)) == PRINTED_R2
+        assert drawn and set(drawn) == {1}
+
     def test_multi_irregular_impossible(self):
         # the deficit z - s is at most -3 per irregular point, so no tuple
         # can carry two irregular points
@@ -164,18 +179,25 @@ class TestVerifyClassification:
 
     def test_local_invariants_once_per_call(self, monkeypatch):
         # 11 distinct types at 0 and 4 at inf give 15 End counts; the
-        # Lambda^3 rows have 3 distinct infinity types.  A second call
-        # counts the same: no state outlives a call
+        # Lambda^3 rows have 3 distinct infinity types, with 33 distinct
+        # (piece, k) exterior powers and 7 distinct heads of two factors
+        # between them, each built once.  A second call counts the same: no
+        # state outlives a call
+        from katz_forge import formal_type
         from katz_forge.formal_type import FormalType
-        calls = dict.fromkeys(("end", "exterior_cube"), 0)
-        for what in calls:
-            def counted(self, _what=what, _fn=getattr(FormalType, what)):
-                calls[_what] += 1
-                return _fn(self)
-            monkeypatch.setattr(FormalType, what, counted)
+        calls = dict.fromkeys(("end", "exterior_cube", "tensor", "_piece_exterior"), 0)
+        def counted(what, fn):
+            def wrapper(*args):
+                calls[what] += 1
+                return fn(*args)
+            return wrapper
+        for what in ("end", "exterior_cube", "tensor"):
+            monkeypatch.setattr(FormalType, what, counted(what, getattr(FormalType, what)))
+        monkeypatch.setattr(formal_type, "_piece_exterior",
+                            counted("_piece_exterior", formal_type._piece_exterior))
         for _ in range(2):
             assert verify_classification()["ok"]
-            assert calls == {"end": 15, "exterior_cube": 3}
+            assert calls == {"end": 15, "exterior_cube": 3, "tensor": 7, "_piece_exterior": 33}
             calls.update(dict.fromkeys(calls, 0))
 
     def test_row_texts_parsed_once_per_call(self, monkeypatch):

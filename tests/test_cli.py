@@ -170,6 +170,12 @@ class TestClassify:
         assert code == 0
         assert len(json.loads(out)) == 29
 
+    def test_tuples_for_many_points(self, capsys):
+        # no tuple exists from R = 4 on, and a large R answers at once
+        assert invoke(capsys, "classify", "--tuples", "40")[:2] == (0, "r = 40: 0 tuples\n")
+        code, out, _ = invoke(capsys, "classify", "--tuples", "40", "--json")
+        assert code == 0 and json.loads(out) == []
+
     def test_verify(self, capsys):
         code, out, _ = invoke(capsys, "classify", "--verify")
         assert code == 0

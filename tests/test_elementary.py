@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from katz_forge.scalars import (Scalar, Eigenvalue, ONE,
-                                IrrationalRootError, IrrationalSumError, parse_scalar)
+                                IrrationalRootError, IrrationalSumError, parse_scalar,
+                                parse_eigenvalue)
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.formal_type import FormalType
 from katz_forge.elementary import (ElementaryModule, El, el_hom, hom_counts,
@@ -422,3 +423,45 @@ def test_hom_agrees_with_the_cover_oracle(a, b):
         return
     assert slopes == _module_slopes(hs)
     assert ref.cover_irregularity(a, b) == hom_counts(a, b)[0] == _module_counts(hs)[0]
+
+
+_BLOCK_EIGS = [Eigenvalue.one(), Eigenvalue.minus_one(), parse_eigenvalue("i"),
+               parse_eigenvalue("zeta(3)"), parse_eigenvalue("l^(1/2)")]
+_BLOCK_TAILS = [{}, {1: A1}, {1: A1, 2: A2}, {2: -A1}]
+
+
+@st.composite
+def _block_modules(draw):
+    # few tails, covers q*m over q <= 3 and the rotations of each tail, so
+    # that Hom often has an empty tail; blocks of size 2-3 whose
+    # eigenvalues often agree
+    q, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    base = ElementaryModule.make(q, draw(st.sampled_from(_BLOCK_TAILS)), J("(1)"))
+    tail = {j * m: c for j, c in base.rotated(draw(st.integers(0, q - 1))).items()}
+    blocks = draw(st.lists(st.tuples(st.sampled_from(_BLOCK_EIGS), st.integers(2, 3)),
+                           min_size=1, max_size=2))
+    return ElementaryModule.make(q * m, tail, JordanData.make(blocks))
+
+
+def test_hom_counts_build_no_jordan_data(monkeypatch):
+    # on normal modules the counts read the tails and the blocks only
+    mods = [ElementaryModule.make(p, tail, r).normalize() for p in (1, 2, 3)
+            for tail in _BLOCK_TAILS for r in (LL, J("(-1, J(2))"))]
+    want = [hom_counts(a, b) for a in mods for b in mods]
+    def forbidden(blocks):
+        raise AssertionError("JordanData.make called")
+    monkeypatch.setattr(JordanData, "make", staticmethod(forbidden))
+    assert [hom_counts(a, b) for a in mods for b in mods] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_modules(), _block_modules())
+def test_hom_soln_from_block_pairs_matches_the_jordan_tensor(a, b):
+    # dim Soln read from the block pairs equals the invariants of the
+    # tensored Jordan data over the regular summands of the cover oracle
+    counts = _hom_or_none(hom_counts, a, b)
+    want = _hom_or_none(ref.jordan_soln, a, b)
+    if want is None:
+        assert counts is None
+        return
+    assert counts[1] == want
