@@ -28,6 +28,7 @@ from .scalars import Scalar, Eigenvalue, ONE
 from .jordan import JordanData, parse_jordan
 from .elementary import ElementaryModule, El
 from .formal_type import FormalType, parse_formal_type
+from .engine import ConnectionDescriptor, INF, rigidity_from_ends, euler_char_middle
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,6 @@ def classification_descriptor(name: str):
 
 def _descriptor(name: str, found: dict):
     """The row's descriptor, each text of it parsed once per call."""
-    from .engine import ConnectionDescriptor
     rows = dict((n, (z, i)) for n, z, i in CLASSIFICATION_ROWS + (EXCLUDED_ROW,))
     z, i = rows[name]
     return ConnectionDescriptor.make(
@@ -416,7 +416,6 @@ def _pattern(ft: FormalType) -> bool:
 
 
 def _verify_row(name: str, found: dict) -> dict:
-    from .engine import rigidity_from_ends, euler_char_middle
     c = _descriptor(name, found)
     zero_ft = c.point(Scalar.rational(0))
     inf_ft = c.inf_type()
@@ -466,18 +465,14 @@ def verify_classification() -> dict:
 
 def kummer_pullback_descriptor(c, k: int):
     """Pullback of a two-point (0, inf) descriptor along z -> z^k."""
-    from .engine import ConnectionDescriptor, INF
     if k < 1:
         raise ValueError(f"Kummer pullback needs k >= 1, got k = {k}")
     pts = {}
     for loc, ft in c.points:
         if loc != INF and not loc.is_zero():
             raise ValueError("Kummer pullback needs a descriptor on Gm")
-        reg = ft.regular.pull(k)
-        els = []
-        for e in ft.irregular:
-            els.extend(e.pullback(k))
-        pts[loc] = FormalType.make(reg, els)
+        pts[loc] = FormalType.make(JordanData.zero(),
+                                   [m for e in ft.summands() for m in e.pullback(k)])
     return ConnectionDescriptor.make(pts, c.rank)
 
 
@@ -485,7 +480,6 @@ def pullback_identities() -> dict:
     """The published pullback identities: [2]* of the e4_5 member with
     (x, y) = (zeta_8, zeta_8^2) is the e3 row, and [3]* of the e4_4 member
     with x = zeta_3 is the e2 member with tails (-a1, zeta_6^5 a1)."""
-    from .engine import INF
     out = {}
 
     c45 = _specialized_descriptor("e4_5", {"x": Fraction(1, 8), "y": Fraction(2, 8)})
@@ -506,16 +500,13 @@ def pullback_identities() -> dict:
 
 def _specialized_descriptor(name: str, torsion_subs: dict):
     """Classification row with named eigenvalue symbols replaced by roots of unity."""
-    from .engine import ConnectionDescriptor
     c = classification_descriptor(name)
     pts = {}
     for loc, ft in c.points:
-        reg = JordanData.make([(_subs_eig(e, torsion_subs), s) for e, s in ft.regular.blocks])
-        els = [ElementaryModule.make(el.p, el.tail,
-                                     JordanData.make([(_subs_eig(e, torsion_subs), s)
-                                                      for e, s in el.r.blocks]))
-               for el in ft.irregular]
-        pts[loc] = FormalType.make(reg, els)
+        pts[loc] = FormalType.make(JordanData.zero(), [
+            ElementaryModule.make(e.p, e.tail, JordanData.make(
+                [(_subs_eig(eig, torsion_subs), s) for eig, s in e.r.blocks]))
+            for e in ft.summands()])
     return ConnectionDescriptor.make(pts, c.rank)
 
 
@@ -531,7 +522,6 @@ def _subs_eig(e: Eigenvalue, subs: dict) -> Eigenvalue:
 
 
 def _e2_member():
-    from .engine import ConnectionDescriptor
     z65 = Scalar.zeta(6, 5)
     a1 = Scalar.sym("a1")
     inf = FormalType.make(

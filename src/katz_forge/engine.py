@@ -183,39 +183,32 @@ def _affine_inf(ft: FormalType, a: Scalar, b: Scalar) -> FormalType:
     return FormalType.make(ft.regular, els)
 
 
+def _vanishing(ft: FormalType) -> FormalType:
+    """The vanishing data of the formal type at a finite point."""
+    return FormalType(vanishing_data(ft.regular), ft.irregular)
+
+
+def _inf_slopes_at_most_one(c: ConnectionDescriptor) -> None:
+    if any(e.slope() > 1 for e in c.inf_type().irregular):
+        raise OutOfScopeError("slopes > 1 at infinity are out of scope")
+
+
 def fourier_rank(c: ConnectionDescriptor) -> int:
-    """Generic rank of the Fourier transform (the rank lemma); slope-(<=1)
-    content at infinity contributes nothing."""
-    for e in c.inf_type().irregular:
-        if e.slope() > 1:
-            raise OutOfScopeError("slopes > 1 at infinity are out of scope")
-    h = 0
-    for loc, ft in c.finite_points():
-        h += vanishing_data(ft.regular).rank()
-        for e in ft.irregular:
-            h += (e.p + e.q()) * e.r.rank()
-    return h
+    """Generic rank of the Fourier transform (the rank lemma): a piece
+    El(u^p, a/u^q, R) of the vanishing data adds (p + q) rk R, its rank
+    plus its irregularity; slope-(<=1) content at infinity adds nothing."""
+    _inf_slopes_at_most_one(c)
+    vanishing = [_vanishing(ft) for _, ft in c.finite_points()]
+    return sum(v.rank() + v.irregularity() for v in vanishing)
 
 
 def stationary_phase(c: ConnectionDescriptor) -> FormalType:
     """Formal type at infinity of the Fourier transform: direct sum of the
-    local transforms of the finite slots."""
-    for e in c.inf_type().irregular:
-        if e.slope() > 1:
-            raise OutOfScopeError("slopes > 1 at infinity are out of scope")
-    inf_reg = JordanData.zero()
-    inf_els = []
-    for loc, ft in c.finite_points():
-        v = vanishing_data(ft.regular)
-        if v.rank():
-            slot = lft_shifted(v, loc)
-            inf_reg = inf_reg + slot.regular
-            inf_els.extend(slot.irregular)
-        for e in ft.irregular:
-            slot = lft_shifted(e, loc)
-            inf_reg = inf_reg + slot.regular
-            inf_els.extend(slot.irregular)
-    return FormalType.make(inf_reg, inf_els)
+    local transforms of the pieces of the vanishing data at each finite
+    point."""
+    _inf_slopes_at_most_one(c)
+    return FormalType.make(JordanData.zero(), [
+        lft_shifted(e, loc) for loc, ft in c.finite_points() for e in _vanishing(ft).summands()])
 
 
 def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
@@ -225,43 +218,33 @@ def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
         raise ContradictionError(
             f"rank mismatch: transform has generic rank {h_new} but the "
             f"assembled infinity type has rank {new_inf.rank()}")
-    # finite points of the transform from the infinity content of the source;
-    # slope-(<1) pieces carry the z -> -z deck twist so that applying the
-    # transform twice is the epsilon pullback
+    # finite points of the transform from the pieces at infinity of the
+    # source; slope-(<1) pieces carry the z -> -z deck twist, so that on
+    # descriptors singular only at 0 and infinity with slopes < 1 there,
+    # applying the transform twice is the epsilon pullback
     van: dict = {}
-    for e in c.inf_type().irregular:
-        if e.slope() < 1:
-            e = epsilon_twist_inf(e)
-        s, payload = lft_inf_to_s(e)
-        ft0 = van.setdefault(s, [JordanData.zero(), []])
-        if isinstance(payload, JordanData):
-            ft0[0] = ft0[0] + payload
-        else:
-            ft0[1].append(payload)
-    if c.inf_type().regular.rank():
-        s = Scalar.rational(0)
-        ft0 = van.setdefault(s, [JordanData.zero(), []])
-        ft0[0] = ft0[0] + c.inf_type().regular
-    pts = {}
-    for s, (vreg, vels) in van.items():
-        pts[s] = _nearby_type(vreg, vels, h_new, lambda needed, vanishing: (
-            f"rank mismatch: transform has generic rank {h_new} but the "
-            f"formal type at {render_scalar(s)} would need rank "
-            f"{needed}: vanishing data {vanishing}"))
+    for e in c.inf_type().summands():
+        s, piece = lft_inf_to_s(epsilon_twist_inf(e) if e.slope() < 1 else e)
+        van.setdefault(s, []).append(piece)
+    pts = {s: _nearby_type(FormalType.make(JordanData.zero(), pieces), h_new, lambda needed, v: (
+        f"rank mismatch: transform has generic rank {h_new} but the formal type at "
+        f"{render_scalar(s)} would need rank {needed}: vanishing data {v}"))
+        for s, pieces in van.items()}
     pts[INF] = new_inf
     return ConnectionDescriptor.make(pts, h_new)
 
 
-def _nearby_type(vreg: JordanData, vels, rank: int, report) -> FormalType:
+def _nearby_type(v: FormalType, rank: int, report) -> FormalType:
     """The formal type of generic rank `rank` at a finite point whose
-    vanishing data is vreg + vels.  When that data needs a larger rank,
-    raises ContradictionError(report(needed rank, rendered vanishing data))."""
-    el_rank = sum(e.rank() for e in vels)
-    nearby = nearby_from_vanishing(vreg, rank - el_rank)
+    vanishing data is v: eigenvalue-1 blocks of its regular part gain one
+    dimension, and J(1) blocks pad it to `rank`.  When v needs a larger
+    rank, raises ContradictionError(report(needed rank, rendered v))."""
+    el_rank = v.rank() - v.regular.rank()
+    nearby = nearby_from_vanishing(v.regular, rank - el_rank)
     needed = nearby.rank() + el_rank
     if needed > rank:
-        raise ContradictionError(report(needed, render_formal_type(FormalType.make(vreg, vels))))
-    return FormalType.make(nearby, vels)
+        raise ContradictionError(report(needed, render_formal_type(v)))
+    return FormalType(nearby, v.irregular)
 
 
 def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> ConnectionDescriptor:
@@ -276,14 +259,14 @@ def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> Connectio
     h_new = fourier_rank(c) - c.rank
     if h_new <= 0:
         raise ContradictionError(f"middle convolution rank dropped to {h_new}")
-    pts = {}
-    for loc, ft in c.finite_points():
-        vreg = vanishing_data(ft.regular).scale(chi)
-        vels = [ElementaryModule.make(e.p, e.tail, e.r.scale(chi.pow(e.p + e.q()))).normalize()
-                for e in ft.irregular]
-        pts[loc] = _nearby_type(vreg, vels, h_new, lambda needed, vanishing: (
-            f"rank {h_new} system forced to carry vanishing data {vanishing} at "
+    # a piece El(u^p, a/u^q, R) of the vanishing data is scaled by
+    # chi^(p + q), a regular piece (p + q = 1) by chi
+    pts = {loc: _nearby_type(FormalType.make(JordanData.zero(), [
+        ElementaryModule.make(e.p, e.tail, e.r.scale(chi.pow(e.p + e.q())))
+        for e in _vanishing(ft).summands()]), h_new, lambda needed, v: (
+            f"rank {h_new} system forced to carry vanishing data {v} at "
             f"{render_location(loc)} (needs rank >= {needed})"))
+        for loc, ft in c.finite_points()}
     pts[INF] = FormalType.make(JordanData.make([(chi.inverse(), 1)] * h_new))
     return ConnectionDescriptor.make(pts, h_new)
 

@@ -17,7 +17,9 @@ with no Hom module built: all that a rigidity index or an Euler
 characteristic reads.  ``tensor`` is the one product built as a module, a
 normalized, merged FormalType; it builds the head of a Lambda^3 term, the
 product of its factors but the last.  Within one ``exterior_cube`` call
-each piece's Lambda^k and each head is built once.
+each piece's Lambda^k, each head and the duals of each last factor are
+built once.  ``summands`` reads the regular part as the piece El(1, 0, R),
+so Hom, tensor and Lambda^3 walk one kind of piece.
 """
 
 from __future__ import annotations
@@ -150,10 +152,10 @@ class FormalType:
         """The counts of Lambda^3: each term's last tensor is read as the
         counts of Hom(last^vee, head)."""
         total = Counts(0, 0, 0)
-        for head, last in _cube_terms(self):
+        for head, last, last_duals in _cube_terms(self):
             total = total + (
                 Counts(last.rank(), last.irregularity(), last.soln_dim()) if head is None
-                else _hom_counts([b.dual() for b in last.summands()], head.summands()))
+                else _hom_counts(last_duals, head.summands()))
         return total
 
     def dual(self) -> "FormalType":
@@ -217,16 +219,19 @@ def _cube_terms(ft: FormalType):
     """Lambda^3 of ft as a sum over the compositions of 3 across its
     refined pieces, one term per composition: the tensor product of the
     pieces' exterior powers.  Yields (the product of every factor but the
-    last, or None for a single factor; the last factor).  Each Lambda^k of
-    a piece, and each head, is built once per call."""
+    last, or None for a single factor; the last factor; the duals of the
+    last factor's summands, or None for a single factor).  Each Lambda^k of
+    a piece, each head and the duals of each last factor are built once per
+    call."""
     pieces = _refine(ft)
     powers: dict = {}  # (piece index, k) -> Lambda^k of the piece, or None
     heads: dict = {}  # the keys of the factors but the last -> their product
+    duals: dict = {}  # the key of a last factor -> the duals of its summands
     for comp in _compositions(len(pieces), 3):
         keys = []
         for key in ((i, k) for i, k in enumerate(comp) if k):
             if key not in powers:
-                powers[key] = _piece_exterior(*pieces[key[0]], key[1])
+                powers[key] = _piece_exterior(pieces[key[0]], key[1])
             if powers[key] is None:
                 break
             keys.append(key)
@@ -237,36 +242,31 @@ def _cube_terms(ft: FormalType):
                 for key in init:
                     head = powers[key] if head is None else head.tensor(powers[key])
                 heads[tuple(init)] = head
-            yield heads[tuple(init)], powers[last]
+            if init and last not in duals:
+                duals[last] = [b.dual() for b in powers[last].summands()]
+            yield heads[tuple(init)], powers[last], duals[last] if init else None
 
 
 def _refine(ft: FormalType) -> list:
-    """Split elementary members into single-Jordan-block pieces; returns a
-    list of summands ('el', piece) / ('reg', jordan)."""
+    """The summands of ft, each ramified one split into single-Jordan-block
+    pieces."""
     out = []
-    for e in ft.irregular:
+    for e in ft.summands():
         if e.p == 1:
-            out.append(("el", e))
+            out.append(e)
             continue
         for eig, size in e.r.blocks:
             if size > 1:
                 raise ValueError(
                     f"unsupported exterior power: ramified summand {render_elementary(e)} "
                     "has a Jordan block of size > 1")
-            out.append(("el", ElementaryModule.make(e.p, e.tail, JordanData.single(eig, 1))))
-    if ft.regular.rank():
-        out.append(("reg", ft.regular))
+            out.append(ElementaryModule.make(e.p, e.tail, JordanData.single(eig, 1)))
     return out
 
 
-def _piece_exterior(kind, obj, k: int):
-    """Lambda^k of a single summand, k >= 1, as a FormalType (possibly
-    zero rank); None when k exceeds its rank."""
-    if kind == "reg":
-        if k > obj.rank():
-            return None
-        return FormalType.make(obj.exterior(k))
-    e = obj
+def _piece_exterior(e: ElementaryModule, k: int):
+    """Lambda^k of a single piece, k >= 1, as a FormalType (possibly zero
+    rank); None when k exceeds its rank."""
     n = e.rank()
     if k > n:
         return None
@@ -276,25 +276,17 @@ def _piece_exterior(kind, obj, k: int):
         tail = {j: a * Scalar.rational(k) for j, a in e.tail}
         return FormalType.make(JordanData.zero(),
                                [ElementaryModule.make(1, tail, e.r.exterior(k))])
+    d = e.det()
     if k == n:
-        return _det_ft(e.det())
+        return FormalType.make(JordanData.zero(),
+                               [ElementaryModule.make(1, d.tail, JordanData.single(d.eig, 1))])
     if k == n - 1:
         # Lambda^(n-1) = det (x) dual
-        d = e.det()
-        dualized = e.dual()
         if d.tail:
             raise ValueError("exponential determinant in exterior power not supported")
-        return FormalType.make(JordanData.zero(), [dualized.scale_eigenvalues(d.eig)])
+        return FormalType.make(JordanData.zero(), [e.dual().scale_eigenvalues(d.eig)])
     raise ValueError(
         f"unsupported exterior power Lambda^{k} of {render_elementary(e)} (rank {n})")
-
-
-def _det_ft(d: DetData) -> FormalType:
-    reg = JordanData.single(d.eig, 1)
-    if not d.tail:
-        return FormalType.make(reg)
-    return FormalType.make(JordanData.zero(),
-                           [ElementaryModule.make(1, d.tail, reg)])
 
 
 def _compositions(n: int, total: int):

@@ -2,15 +2,16 @@
 
 Conventions are pinned so that the construction schemes replay verbatim:
 
-* the slot of a finite singularity s carries the exponential s/theta, i.e.
-  a regular payload V at s becomes El(1, s/theta, V) at infinity of the
-  transform;
+* the vanishing data at a finite point s travels one piece at a time, a
+  regular payload V as the piece El(1, 0, V), and the slot of s carries
+  the exponential s/theta: El(1, 0, V) at s becomes El(1, s/theta, V) at
+  infinity of the transform;
 * for an irregular elementary input the transform of El(u^p, a/u^q, R) is
   El((p/(q a)) u^(p+q), ((p+q)/p) a / u^q, R (x) L_q) with L_q the rank-one
   twist by (-1)^q;
 * slope-(<1) and regular content at infinity returns to the finite point 0,
   slope-1 unramified content El(1, c/theta, R) returns to the finite point
-  c with payload R.
+  c as the regular piece El(1, 0, R).
 
 The paper's sources use conflicting global signs; these choices reproduce
 every replay table bit-exactly.
@@ -23,7 +24,6 @@ from fractions import Fraction
 from .scalars import Scalar, Eigenvalue, ONE, OutOfScopeError
 from .jordan import JordanData
 from .elementary import ElementaryModule
-from .formal_type import FormalType
 
 
 def vanishing_data(j: JordanData) -> JordanData:
@@ -75,21 +75,14 @@ def lft_zero_to_inf(e: ElementaryModule) -> ElementaryModule:
     return sabbah_transform_raw(e).normalize()
 
 
-def lft_shifted(content, s: Scalar):
-    """F^(s,infty): the slot contribution at infinity of the content at the
-    finite point s.  `content` is vanishing JordanData (regular part) or an
-    elementary module."""
-    if isinstance(content, JordanData):
-        if s.is_zero():
-            return FormalType.make(content)
-        return FormalType.make(JordanData.zero(),
-                               [ElementaryModule.make(1, {1: s}, content)])
-    raw = sabbah_transform_raw(content)
-    if not s.is_zero():
-        # in coefficient-one coordinates the shift s/c at pole order p is
-        # s itself, the substitution multiplying it by g^p = c
-        raw = ElementaryModule.make(raw.p, {**raw.taild(), raw.p: s}, raw.r)
-    return FormalType.make(JordanData.zero(), [raw.normalize()])
+def lft_shifted(e: ElementaryModule, s: Scalar) -> ElementaryModule:
+    """F^(s,infty): the raw slot module at infinity of one piece e of the
+    vanishing data at the finite point s.  A regular piece El(1, 0, V)
+    becomes El(1, s/theta, V); in coefficient-one coordinates the shift s/c
+    at pole order p is s itself, the substitution multiplying it by
+    g^p = c.  A zero shift drops out of the tail."""
+    raw = e if e.is_regular() else sabbah_transform_raw(e)
+    return ElementaryModule.make(raw.p, {**raw.taild(), raw.p: s}, raw.r)
 
 
 def epsilon_twist_inf(e: ElementaryModule) -> ElementaryModule:
@@ -101,19 +94,19 @@ def epsilon_twist_inf(e: ElementaryModule) -> ElementaryModule:
 
 def lft_inf_to_s(e: ElementaryModule):
     """Inverse transform of a slope-(<=1) piece of an infinity formal type.
-    Returns (location Scalar, payload) with payload either vanishing
-    JordanData (slope-1 unramified input) or an elementary module."""
+    Returns (location Scalar, payload), the payload one piece of the
+    vanishing data there: a regular piece returns to 0 as it is, a slope-1
+    unramified piece El(1, c/theta, V) to c as El(1, 0, V)."""
     e = e.normalize()
     q = e.q()
     if q == 0:
-        return Scalar.rational(0), e.r
+        return Scalar.rational(0), e
     if q > e.p:
         raise OutOfScopeError("slope > 1 at infinity is out of scope")
     if q == e.p:
         if e.p != 1:
             raise OutOfScopeError("ramified slope-1 content at infinity is out of scope")
-        c = dict(e.tail)[1]
-        return c, e.r
+        return dict(e.tail)[1], ElementaryModule.make(1, {}, e.r)
     # slope < 1: invert the Sabbah formulas; the content came from 0
     p0 = e.p - q
     ahat = dict(e.tail)[q]

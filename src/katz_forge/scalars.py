@@ -230,15 +230,19 @@ class Cyclotomic:
     with den > 0 and gcd(den, *num) == 1, so equality is structural.  n is
     minimal: an element lying in Q(zeta_m) for m | n is re-expressed at
     order m.  Zero has order 1.  ``coords``, the coordinates as Fractions,
-    is built on first use.
+    is built on first use.  ``Cyclotomic(n, coords)`` is the canonical form
+    of sum(coords[k] * zeta_n^k), for coords of any length.
     """
 
     __slots__ = ("order", "num", "den", "_coords")
 
     def __init__(self, order: int, coords):
+        if order < 1:
+            raise ValueError(f"cyclotomic order must be at least 1, got {order}")
         coords = [Fraction(c) for c in coords]
-        self.order, self.den, self._coords = order, lcm(*(c.denominator for c in coords)), None
-        self.num = tuple(c.numerator * (self.den // c.denominator) for c in coords)
+        den = lcm(*(c.denominator for c in coords))
+        x = Cyclotomic._make(order, [c.numerator * (den // c.denominator) for c in coords], den)
+        self.order, self.num, self.den, self._coords = x.order, x.num, x.den, None
 
     @staticmethod
     def _raw(order: int, num: tuple, den: int) -> "Cyclotomic":

@@ -75,6 +75,6 @@ def exterior_cube_module(ft):
     """Lambda^3 of ft as a module: each term of ``_cube_terms`` tensored out
     and summed."""
     total = FormalType.make(JordanData.zero())
-    for head, last in _cube_terms(ft):
+    for head, last, _ in _cube_terms(ft):
         total = total + (last if head is None else head.tensor(last))
     return total

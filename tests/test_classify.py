@@ -181,11 +181,14 @@ class TestVerifyClassification:
         # 11 distinct types at 0 and 4 at inf give 15 End counts; the
         # Lambda^3 rows have 3 distinct infinity types, with 33 distinct
         # (piece, k) exterior powers and 7 distinct heads of two factors
-        # between them, each built once.  A second call counts the same: no
-        # state outlives a call
+        # between them, each built once.  30 duals of elementary modules:
+        # 22 inside Lambda^3, where the summands of each last factor are
+        # dualized once per call.  A second call counts the same: no state
+        # outlives a call
         from katz_forge import formal_type
+        from katz_forge.elementary import ElementaryModule
         from katz_forge.formal_type import FormalType
-        calls = dict.fromkeys(("end", "exterior_cube", "tensor", "_piece_exterior"), 0)
+        calls = dict.fromkeys(("end", "exterior_cube", "tensor", "_piece_exterior", "dual"), 0)
         def counted(what, fn):
             def wrapper(*args):
                 calls[what] += 1
@@ -195,9 +198,11 @@ class TestVerifyClassification:
             monkeypatch.setattr(FormalType, what, counted(what, getattr(FormalType, what)))
         monkeypatch.setattr(formal_type, "_piece_exterior",
                             counted("_piece_exterior", formal_type._piece_exterior))
+        monkeypatch.setattr(ElementaryModule, "dual", counted("dual", ElementaryModule.dual))
         for _ in range(2):
             assert verify_classification()["ok"]
-            assert calls == {"end": 15, "exterior_cube": 3, "tensor": 7, "_piece_exterior": 33}
+            assert calls == {"end": 15, "exterior_cube": 3, "tensor": 7, "_piece_exterior": 33,
+                             "dual": 30}
             calls.update(dict.fromkeys(calls, 0))
 
     def test_row_texts_parsed_once_per_call(self, monkeypatch):

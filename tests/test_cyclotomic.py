@@ -143,3 +143,25 @@ def test_subfield_projection_is_unit_vector_solves():
             for j, row in enumerate(reads):
                 x = ref._solve_linear(cols, [Fraction(int(i == j)) for i in range(len(cols))])
                 assert {i: Fraction(c, d) for i, c in row} == {i: v for i, v in enumerate(x) if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORDERS.flatmap(lambda n: st.tuples(st.just(n), st.lists(SMALL, max_size=2 * n + 2))))
+def test_public_constructor_is_canonical(drawn):
+    # coords of any length, also longer than phi(n), read as sum c_k zeta_n^k
+    n, coords = drawn
+    x = Cyclotomic(n, coords)
+    expected = sum((c * Cyclotomic.zeta(n, k) for k, c in enumerate(coords)),
+                   Cyclotomic.from_rational(0))
+    same(x, expected)
+    minimal(x)
+    assert x == expected and hash(x) == hash(expected)
+
+
+def test_public_constructor_literals():
+    one = Cyclotomic(4, (1, 0))
+    assert one == Cyclotomic.from_rational(1) and hash(one) == hash(Cyclotomic.from_rational(1))
+    assert Cyclotomic(4, (0, 0)).is_zero() and Cyclotomic(6, ()).is_zero()
+    for order in (0, -3):
+        with pytest.raises(ValueError):
+            Cyclotomic(order, (1,))

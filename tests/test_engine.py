@@ -6,9 +6,10 @@ contradiction reports.
 """
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from katz_forge.scalars import Scalar, parse_scalar, parse_eigenvalue
-from katz_forge.jordan import parse_jordan
+from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.formal_type import FormalType, parse_formal_type
 from katz_forge.fourier import (OutOfScopeError, lft_zero_to_inf, lft_shifted,
                                 lft_inf_to_s)
@@ -64,12 +65,12 @@ class TestLocalFourier:
             lft_zero_to_inf(ElementaryModule.make(1, {}, J("(m)")))
 
     def test_shift_round_trip(self):
+        # regular content travels as the piece El(1, 0, V)
         s = S("a1^2/4")
-        slot = lft_shifted(J("(-l, -l^-1)"), s)
-        piece = slot.irregular[0]
-        s2, payload = lft_inf_to_s(piece)
+        v = ElementaryModule.make(1, {}, J("(-l, -l^-1)"))
+        s2, payload = lft_inf_to_s(lft_shifted(v, s))
         assert s2 == s
-        assert payload == J("(-l, -l^-1)")
+        assert payload == v
 
     def test_slope_half_recovery(self):
         e = El(2, Scalar.sym("a"), "(m)").normalize()
@@ -361,3 +362,68 @@ class TestContradictionReports:
         assert exc.value.report == (
             "rank 1 system forced to carry vanishing data (1) at -2*a "
             "(needs rank >= 2)")
+
+
+# -- laws on random descriptors -------------------------------------------------
+
+_EIGS = ["1", "-1", "i", "-i", "zeta(3)", "m", "m^-1", "l"]
+_COEFFS = ["a", "-a", "2*a", "b", "a+b", "1/2"]
+# (p, q) of the pieces El(u^p, c/u^q, R) at infinity: regular, slope 1 and
+# slopes q/(q + 1) < 1, whose inverse transform needs no irrational root
+_REGULAR, _SLOPE_ONE, _BELOW_ONE = [(1, 0)], [(1, 1)], [(2, 1), (3, 2), (4, 3)]
+
+
+@st.composite
+def _jordan(draw, n):
+    blocks = []
+    while n:
+        size = draw(st.integers(1, n))
+        blocks.append((E(draw(st.sampled_from(_EIGS))), size))
+        n -= size
+    return JordanData.make(blocks)
+
+
+@st.composite
+def _formal_type(draw, n, shapes):
+    """A formal type of rank n whose pieces El(u^p, c/u^q, R) have (p, q)
+    in shapes."""
+    pieces = []
+    while n:
+        p, q = draw(st.sampled_from([(p, q) for p, q in shapes if p <= n]))
+        tail = {q: S(draw(st.sampled_from(_COEFFS)))} if q else {}
+        r = draw(_jordan(draw(st.integers(1, n // p))))
+        pieces.append(ElementaryModule.make(p, tail, r))
+        n -= p * r.rank()
+    return FormalType.make(JordanData.zero(), pieces)
+
+
+@st.composite
+def _descriptors(draw, locations, shapes):
+    """Rank <= 4, regular at the finite points, slopes <= 1 at infinity."""
+    n = draw(st.integers(1, 4))
+    pts = {S(loc): FormalType.make(draw(_jordan(n))) for loc in draw(locations)}
+    pts[INF] = draw(_formal_type(n, shapes))
+    return ConnectionDescriptor.make(pts, n)
+
+
+def _in_scope(op, *args):
+    try:
+        return op(*args)
+    except (ContradictionError, OutOfScopeError):
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_descriptors(st.lists(st.sampled_from(["0", "1", "-1", "2", "a", "b^2/4"]),
+                             min_size=1, max_size=3, unique=True),
+                    _REGULAR + _SLOPE_ONE + _BELOW_ONE))
+def test_fourier_keeps_the_rigidity_index(c):
+    assert rigidity_index(_in_scope(op_fourier, c)) == rigidity_index(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_descriptors(st.just(["0"]), _REGULAR + _BELOW_ONE))
+def test_double_fourier_is_epsilon_on_gm(c):
+    # singular only at 0 and infinity, slopes < 1 there
+    ff = _in_scope(lambda c: op_fourier(op_fourier(c)), c)
+    assert ff == op_moebius(c, "affine", S("-1"), S("0"))
