@@ -220,7 +220,7 @@ def cmd_pullback(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="katz-forge")
     sub = ap.add_subparsers(dest="cmd")
 
@@ -262,7 +262,14 @@ def main(argv=None) -> int:
     p.add_argument("descriptor", nargs="?")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_pullback)
+    return ap
 
+
+# built once: parsing leaves the tree unchanged
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] in (["mc"], ["twist"]):
         # CHI and SPEC may start with '-' (mc -l): every argument but the
@@ -270,11 +277,11 @@ def main(argv=None) -> int:
         flags = [a for a in argv[1:] if a in ("--json", "-h", "--help")]
         argv = [argv[0], *flags, "--", *(a for a in argv[1:] if a not in flags and a != "--")]
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     if not getattr(args, "fn", None):
-        ap.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return 2
     if args.cmd == "pullback" and not args.verify and (args.k is None or args.descriptor is None):
         print("pullback: need either --verify or K DESCRIPTOR", file=sys.stderr)

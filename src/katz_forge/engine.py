@@ -169,7 +169,9 @@ def op_moebius(c: ConnectionDescriptor, kind: str, a: Scalar = None, b: Scalar =
             if loc == INF:
                 pts[INF] = _affine_inf(ft, a, b)
             else:
-                pts[loc * a + b] = ft
+                # the new coordinate a * (z - loc) is the cover a * u^p
+                pts[loc * a + b] = FormalType.make(ft.regular, [
+                    ElementaryModule.make(e.p, e.tail, e.r, a) for e in ft.irregular])
         return ConnectionDescriptor.make(pts, c.rank)
     raise ValueError(f"unknown Moebius kind {kind!r}")
 

@@ -109,7 +109,7 @@ def lft_inf_to_s(e: ElementaryModule):
         return dict(e.tail)[1], ElementaryModule.make(1, {}, e.r)
     # slope < 1: invert the Sabbah formulas; the content came from 0
     p0 = e.p - q
-    ahat = dict(e.tail)[q]
+    _, ahat = _single_term(e)
     base = ahat * Scalar.rational(Fraction(p0, e.p))
     a0 = (base ** e.p).root(p0) * (Scalar.rational(Fraction(q, p0)) ** q).root(p0)
     r0 = e.r.scale(Eigenvalue.make(Fraction(q, 2)))

@@ -456,19 +456,18 @@ def poly_const(c: Cyclotomic) -> dict:
     return {} if c.is_zero() else {(): c}
 
 
-def poly_add(a: dict, b: dict) -> dict:
+def poly_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b, sign 1 or -1."""
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, ZERO_C) + c
+        if sign < 0:
+            c = -c
+        s = out[m] + c if m in out else c
         if s.is_zero():
-            out.pop(m, None)
+            del out[m]
         else:
             out[m] = s
     return out
-
-
-def poly_neg(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
 
 
 def poly_mul(a: dict, b: dict) -> dict:
@@ -476,9 +475,9 @@ def poly_mul(a: dict, b: dict) -> dict:
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = mono_mul(ma, mb)
-            s = out.get(m, ZERO_C) + ca * cb
+            s = out[m] + ca * cb if m in out else ca * cb
             if s.is_zero():
-                out.pop(m, None)
+                del out[m]
             else:
                 out[m] = s
     return out
@@ -550,7 +549,7 @@ def poly_divexact(a: dict, b: dict) -> dict:
             raise ArithmeticError("inexact polynomial division")
         cq = ca * cbi
         out[q] = cq
-        rem = poly_add(rem, poly_neg(poly_mul({q: cq}, b)))
+        rem = poly_add(rem, poly_mul({q: cq}, b), -1)
     return out
 
 
@@ -675,8 +674,7 @@ def _pseudo_rem(a: dict, b: dict) -> dict:
             new[d] = poly_mul(p, lb)
         for d, p in b.items():
             dd = d + dr - db
-            term = poly_mul(p, lr)
-            new[dd] = poly_add(new.get(dd, {}), poly_neg(term))
+            new[dd] = poly_add(new.get(dd, {}), poly_mul(p, lr), -1)
         r = {d: p for d, p in new.items() if p}
     return r
 
@@ -693,7 +691,7 @@ def poly_root(a: dict, p: int) -> dict:
     denom_m = tuple((s, e * (p - 1)) for s, e in lg_m)
     denom_ci = Cyclotomic.from_rational(Fraction(1, p))
     for _ in range(len(a) * p * 4 + 8):
-        diff = poly_add(a, poly_neg(_poly_pow_full(g, p)))
+        diff = poly_add(a, _poly_pow_full(g, p), -1)
         if not diff:
             return g
         m, c = poly_leading(diff)
@@ -761,6 +759,18 @@ class Scalar:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             return Scalar(Scalar._pack({}), Scalar._pack({(): ONE_C}), ())
+        if len(num) == 1 and len(den) == 1:
+            # one term over one term: the gcd is the monomial of the common
+            # symbol exponents, and den's coefficient moves to num
+            (mn, cn), = num.items()
+            (md, cd), = den.items()
+            dn = dict(mn)
+            g = tuple((s, min(e, dn[s])) for s, e in md if s in dn)
+            if g:
+                mn, md = _mono_div(mn, g), _mono_div(md, g)
+            if cd != ONE_C:
+                cn = cn * cd.inverse()
+            return Scalar(((mn, cn),), ((md, ONE_C),), _rad_canon(rad))
         g = poly_gcd(num, den)
         if not (len(g) == 1 and () in g and g[()] == ONE_C):
             num = poly_divexact(num, g)
@@ -800,33 +810,39 @@ class Scalar:
         return not self.num
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "Scalar") -> "Scalar":
-        if self.is_zero():
-            return other
+    def _sum(self, other: "Scalar", sign: int) -> "Scalar":
+        """self + sign * other, sign 1 or -1."""
         if other.is_zero():
             return self
+        if self.is_zero():
+            return other if sign > 0 else -other
         if self.rad != other.rad:
             raise IrrationalSumError("adding scalars with different radical parts")
         if self.den == other.den:
-            return Scalar.make(poly_add(self.numd(), other.numd()), self.dend(), self.rad)
+            return Scalar.make(poly_add(self.numd(), other.numd(), sign), self.dend(), self.rad)
         a, b, c, d = self.numd(), self.dend(), other.numd(), other.dend()
-        return Scalar.make(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d), self.rad)
+        return Scalar.make(poly_add(poly_mul(a, d), poly_mul(c, b), sign), poly_mul(b, d),
+                           self.rad)
+
+    def __add__(self, other: "Scalar") -> "Scalar":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(Scalar._pack(poly_neg(self.numd())), self.den, self.rad)
+        # negating the coefficients keeps the order of the monomials
+        return Scalar(tuple((m, -c) for m, c in self.num), self.den, self.rad)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
         num = poly_mul(self.numd(), other.numd())
         den = poly_mul(self.dend(), other.dend())
+        if not (self.rad or other.rad):
+            return Scalar.make(num, den)
         rad, carry_num, carry_den = _rad_merge(self.rad, other.rad)
-        num = poly_mul(num, carry_num)
-        den = poly_mul(den, carry_den)
-        return Scalar.make(num, den, rad)
+        return Scalar.make(poly_mul(num, carry_num), poly_mul(den, carry_den), rad)
 
     def times_unit(self, n: int, k: int) -> "Scalar":
         """self * zeta_n^k, without the gcd of ``make``: a unit leaves num

@@ -287,6 +287,16 @@ class TestDeterminism:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_calls_share_no_parsed_state(self, capsys):
+        # the parser is built once: a flag or an error of one call does not
+        # reach the next
+        path = golden_path("e1_1.json")
+        assert invoke(capsys, "mc", "-l", "--json", path)[0] == 2
+        code, out, _ = invoke(capsys, "check", path, "--json")
+        assert code == 0 and json.loads(out)["rig"] == 2
+        code, out, _ = invoke(capsys, "check", path)
+        assert code == 0 and out.startswith("rank = 7\n")
+
     def test_golden_dir_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KATZ_FORGE_GOLDEN_DIR", str(tmp_path))
         from katz_forge import cli

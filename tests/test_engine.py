@@ -406,6 +406,10 @@ def _descriptors(draw, locations, shapes):
     return ConnectionDescriptor.make(pts, n)
 
 
+_ANY_POINTS = st.lists(st.sampled_from(["0", "1", "-1", "2", "a", "b^2/4"]),
+                       min_size=1, max_size=3, unique=True)
+
+
 def _in_scope(op, *args):
     try:
         return op(*args)
@@ -414,9 +418,7 @@ def _in_scope(op, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_descriptors(st.lists(st.sampled_from(["0", "1", "-1", "2", "a", "b^2/4"]),
-                             min_size=1, max_size=3, unique=True),
-                    _REGULAR + _SLOPE_ONE + _BELOW_ONE))
+@given(_descriptors(_ANY_POINTS, _REGULAR + _SLOPE_ONE + _BELOW_ONE))
 def test_fourier_keeps_the_rigidity_index(c):
     assert rigidity_index(_in_scope(op_fourier, c)) == rigidity_index(c)
 
@@ -427,3 +429,19 @@ def test_double_fourier_is_epsilon_on_gm(c):
     # singular only at 0 and infinity, slopes < 1 there
     ff = _in_scope(lambda c: op_fourier(op_fourier(c)), c)
     assert ff == op_moebius(c, "affine", S("-1"), S("0"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_descriptors(_ANY_POINTS, _REGULAR + _SLOPE_ONE + _BELOW_ONE))
+def test_fourier_four_times_is_the_identity(c):
+    # whatever sign F o F carries, F^4 returns the descriptor itself
+    ff = _in_scope(lambda c: op_fourier(op_fourier(c)), c)
+    assert op_fourier(op_fourier(ff)) == c
+
+
+@pytest.mark.parametrize("tail", ["a", "a^2"])
+def test_double_fourier_moves_finite_irregular_content(tail):
+    # in the coordinate -z the tail term c/u becomes -c/u, as F o F gives
+    c = ConnectionDescriptor.make({S("0"): FT(f"El(1, {tail}, (m)) + (x)"),
+                                   INF: FT("(y, y^-1)")}, 2)
+    assert op_fourier(op_fourier(c)) == op_moebius(c, "affine", S("-1"), S("0"))

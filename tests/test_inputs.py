@@ -120,6 +120,8 @@ JORDAN_EQUAL = [("(x*J(2))", "(xJ(2))"), ("(zeta(3)*J(2))", "(zeta(3)J(2))"),
 CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, FormalType, "
                "euler_char_middle, parse_jordan, parse_scalar\n"
                "from katz_forge.classify import CandidateShape\n"
+               "from katz_forge.elementary import parse_elementary\n"
+               "from katz_forge.fourier import lft_inf_to_s\n"
                "def reg(t):\n"
                "    return FormalType.make(parse_jordan(t))\n"
                "KUMMER = ConnectionDescriptor.make("
@@ -141,6 +143,9 @@ CALLS = {
     # a shape with a rank-2 regular part given a rank-1 pattern
     "shape_formal_type_wrong_regular_rank":
         "CandidateShape((), 2, 'reg2', ()).formal_type(parse_jordan('(1)'))",
+    # a slope-(<1) piece at infinity with two tail terms: inverting its top
+    # term alone would drop b/u
+    "lft_inf_to_s_two_term_tail": "lft_inf_to_s(parse_elementary('El(3, a/u^2 + b/u, (1))'))",
 }
 
 

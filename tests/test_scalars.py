@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue,
                                 IrrationalRootError, IrrationalSumError,
                                 parse_scalar, render_scalar,
-                                parse_eigenvalue, render_eigenvalue)
+                                parse_eigenvalue, render_eigenvalue,
+                                mono_key, poly_divexact, poly_gcd,
+                                poly_leading, poly_scale)
 
 A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 HALF = Scalar.rational(Fraction(1, 2))
@@ -204,3 +206,41 @@ def test_scalar_root_power_property():
         except IrrationalRootError:
             continue
         assert r ** p == v
+
+
+# -- the one-term quotient of Scalar.make against the general route ----------
+
+def _general_make(num, den, rad):
+    """Scalar.make by the route of any quotient: divide num and den by their
+    gcd, then by the leading coefficient of den; keep the fractional part
+    of each radical exponent."""
+    g = poly_gcd(num, den)
+    num, den = poly_divexact(num, g), poly_divexact(den, g)
+    inv = poly_leading(den)[1].inverse()
+
+    def pack(d):
+        return tuple(sorted(poly_scale(d, inv).items(), key=lambda t: mono_key(t[0])))
+    return Scalar(pack(num), pack(den), tuple(sorted((b, e % 1) for b, e in rad if e % 1)))
+
+
+_cyclotomic = st.builds(
+    lambda n, coords, d: Cyclotomic(n, [Fraction(c, d) for c in coords]),
+    st.integers(1, 12), st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    st.integers(1, 3)).filter(lambda c: not c.is_zero())
+# the numerator and the denominator share a and b; c is only in one of them
+_monomial = st.builds(
+    lambda exps: tuple((s, e) for s, e in zip("abc", exps) if e),
+    st.lists(st.integers(0, 4), min_size=3, max_size=3))
+_radical = st.lists(st.tuples(
+    st.sampled_from([("sym", "a"), ("sym", "c"), ("prime", 2), ("prime", 3)]),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))),
+    max_size=3, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial, _cyclotomic, _monomial, _cyclotomic, _radical)
+def test_one_term_quotient_matches_the_gcd_route(mn, cn, md, cd, rad):
+    num, den = {mn: cn}, {tuple((s, e) for s, e in md if s != "c"): cd}
+    fast, general = Scalar.make(num, den, rad), _general_make(num, den, rad)
+    assert (fast.num, fast.den, fast.rad) == (general.num, general.den, general.rad)
+    assert hash(fast) == hash(general)
