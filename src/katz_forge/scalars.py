@@ -326,6 +326,13 @@ class Cyclotomic:
         return Cyclotomic._raw(self.order, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.from_rational(other)
+        # an operand equal to 1 (num (1,) over den 1) returns the other one
+        if self.num == (1,) and self.den == 1:
+            return other
+        if other.num == (1,) and other.den == 1:
+            return self
         n, a, b, other = self._binop(other)
         return Cyclotomic._make(n, _dense_mul(a, b), self.den * other.den)
 
@@ -381,9 +388,9 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def as_unit_times_rational(self):
-        """Return (q, torsion) with self = q * e^(2 pi i torsion), q rational
-        positive... q may be any nonzero rational; torsion in [0,1).
-        None if self is not rational times a root of unity."""
+        """Return (q, torsion) with self = q * e^(2 pi i torsion), q a
+        positive rational and torsion in [0, 1); a negative sign is the
+        torsion 1/2.  None if self is not rational times a root of unity."""
         if self.is_zero():
             return None
         x = self.num
@@ -709,6 +716,18 @@ def _poly_pow_full(a: dict, n: int) -> dict:
     return out
 
 
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 0, in integer arithmetic (Newton's method
     from above)."""
@@ -855,23 +874,24 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        inv_rad = tuple((b, -e) for b, e in other.rad)
-        inv = Scalar.make(other.dend(), other.numd(), ())
-        rad, cn, cd = _rad_merge(inv_rad, ())
-        inv = Scalar.make(poly_mul(inv.numd(), cn), poly_mul(inv.dend(), cd), rad)
-        return self * inv
+        rad, cn, cd = _rad_merge(tuple((b, -e) for b, e in other.rad), ())
+        return self * Scalar.make(poly_mul(other.dend(), cn), poly_mul(other.numd(), cd), rad)
 
     def __pow__(self, n: int) -> "Scalar":
+        if n and len(self.num) == 1 and len(self.den) == 1:
+            # one term over one term (den's coefficient is 1): multiply the
+            # exponents by |n|, the coefficient by itself, and merge once
+            ((mn, cn),), ((md, _),) = self.num, self.den
+            k = abs(n)
+            top = {tuple((s, e * k) for s, e in mn): _power(cn, k, ONE_C)}
+            bottom = {tuple((s, e * k) for s, e in md): ONE_C}
+            if n < 0:
+                top, bottom = bottom, top
+            rad, carry_num, carry_den = _rad_merge(tuple((b, e * n) for b, e in self.rad), ())
+            return Scalar.make(poly_mul(top, carry_num), poly_mul(bottom, carry_den), rad)
         if n < 0:
             return ONE / (self ** (-n))
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, ONE)
 
     def root(self, p: int) -> "Scalar":
         """Canonical p-th root; raises IrrationalRootError when the value
@@ -932,16 +952,20 @@ def _rad_merge(r1, r2):
 
 def _poly_radical_root(a: dict, p: int):
     """p-th root of a polynomial allowing radical output: factors into
-    cyclotomic-unit x rational x monomial x primitive-poly, roots each.
-    Returns (poly part, radical exponent list)."""
+    monomial x cyclotomic-unit x rational x primitive-poly, roots each.
+    A single term is its own monomial and coefficient, with no primitive
+    part.  Returns (poly part, radical exponent list)."""
     if not a:
         return {}, []
-    gm = _mono_gcd_all(a)
-    rest = poly_divexact(a, {gm: ONE_C}) if gm else dict(a)
-    _, lc = poly_leading(rest)
-    rest = poly_scale(rest, lc.inverse())
+    if len(a) == 1:
+        (gm, lc), = a.items()
+        rest = None
+    else:
+        gm = _mono_gcd_all(a)
+        rest = poly_divexact(a, {gm: ONE_C}) if gm else a
+        _, lc = poly_leading(rest)
+        rest = poly_scale(rest, lc.inverse())
     rad = []
-    out = {(): ONE_C}
     # monomial part
     mono_int = []
     for s, e in gm:
@@ -950,28 +974,25 @@ def _poly_radical_root(a: dict, p: int):
             mono_int.append((s, q))
         if r:
             rad.append((("sym", s), Fraction(r, p)))
-    if mono_int:
-        out = poly_mul(out, {tuple(mono_int): ONE_C})
     # coefficient part: unit x rational
     ur = lc.as_unit_times_rational()
     if ur is None:
         raise IrrationalRootError("coefficient is not unit times rational")
     q, t = ur
     t /= p
-    out = poly_scale(out, Cyclotomic.zeta(t.denominator, t.numerator))
+    c = Cyclotomic.zeta(t.denominator, t.numerator)
     # q is in lowest terms: a denominator prime has a negative exponent
     primes = [*_factor(q.numerator).items(),
               *((prime, -e) for prime, e in _factor(q.denominator).items())]
     for prime, e in primes:
         qq, r = divmod(e, p)
         if qq:
-            out = poly_scale(out, Cyclotomic.from_rational(Fraction(prime) ** qq))
+            c = c * Cyclotomic.from_rational(Fraction(prime) ** qq)
         if r:
             rad.append((("prime", prime), Fraction(r, p)))
-    # primitive polynomial part
-    if not (len(rest) == 1 and () in rest):
-        g = poly_root(rest, p)
-        out = poly_mul(out, g)
+    out = {tuple(mono_int): c}
+    if rest is not None:
+        out = poly_mul(out, poly_root(rest, p))
     return out, rad
 
 

@@ -406,8 +406,8 @@ def _descriptors(draw, locations, shapes):
     return ConnectionDescriptor.make(pts, n)
 
 
-_ANY_POINTS = st.lists(st.sampled_from(["0", "1", "-1", "2", "a", "b^2/4"]),
-                       min_size=1, max_size=3, unique=True)
+_LOCATIONS = ["0", "1", "-1", "2", "a", "b^2/4"]
+_ANY_POINTS = st.lists(st.sampled_from(_LOCATIONS), min_size=1, max_size=3, unique=True)
 
 
 def _in_scope(op, *args):
@@ -437,6 +437,20 @@ def test_fourier_four_times_is_the_identity(c):
     # whatever sign F o F carries, F^4 returns the descriptor itself
     ff = _in_scope(lambda c: op_fourier(op_fourier(c)), c)
     assert op_fourier(op_fourier(ff)) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_descriptors(_ANY_POINTS, _REGULAR + _SLOPE_ONE + _BELOW_ONE), st.data())
+def test_moebius_and_twist_keep_the_rigidity_index(c, data):
+    rig = rigidity_index(c)
+    assert rigidity_index(op_moebius(c, "inv")) == rig
+    a, b = (S(data.draw(st.sampled_from(xs))) for xs in (["2", "-1", "1/3", "a", "-b"],
+                                                          ["0", "1", "a"]))
+    assert rigidity_index(op_moebius(c, "affine", a, b)) == rig
+    # a twist at a point where c is trivial adds a singular point
+    loc = S(data.draw(st.sampled_from(_LOCATIONS)))
+    eig = E(data.draw(st.sampled_from(_EIGS[1:])))
+    assert rigidity_index(op_twist(c, {loc: eig, INF: eig.inverse()})) == rig
 
 
 @pytest.mark.parametrize("tail", ["a", "a^2"])

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue,
-                                IrrationalRootError, IrrationalSumError,
+import katz_forge.scalars as scalars
+from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue, ONE,
+                                IrrationalRootError, IrrationalSumError, OutOfScopeError,
                                 parse_scalar, render_scalar,
                                 parse_eigenvalue, render_eigenvalue,
                                 mono_key, poly_divexact, poly_gcd,
@@ -244,3 +245,103 @@ def test_one_term_quotient_matches_the_gcd_route(mn, cn, md, cd, rad):
     fast, general = Scalar.make(num, den, rad), _general_make(num, den, rad)
     assert (fast.num, fast.den, fast.rad) == (general.num, general.den, general.rad)
     assert hash(fast) == hash(general)
+
+
+# -- monomial powers and roots against the general routes ----------------------
+
+_nonzero_rational = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 20))
+
+
+def _unit_times_rational(max_order):
+    return st.builds(lambda n, k, q: Cyclotomic.zeta(n, k) * q,
+                     st.integers(1, max_order), st.integers(0, 2 * max_order - 1),
+                     _nonzero_rational)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_times_rational(24))
+def test_unit_times_rational_splits_off_a_positive_rational(c):
+    q, t = c.as_unit_times_rational()
+    assert q > 0 and 0 <= t < 1
+    assert Cyclotomic.zeta(t.denominator, t.numerator) * q == c
+
+
+def _monomial_scalar(coefficient):
+    """Scalar.make of one term over one term, drawn as in the quotient test."""
+    return st.builds(
+        lambda mn, cn, md, cd, rad: Scalar.make(
+            {mn: cn}, {tuple((s, e) for s, e in md if s != "c"): cd}, rad),
+        _monomial, coefficient, _monomial, coefficient, _radical)
+
+
+def _squaring(x, n):
+    """x ** n by left-to-right repeated squaring of whole scalars; 1 / x ** -n
+    for n < 0."""
+    if n < 0:
+        return ONE / _squaring(x, -n)
+    out = ONE
+    for bit in bin(n)[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
+def _same(x, y):
+    assert (x.num, x.den, x.rad) == (y.num, y.den, y.rad)
+    assert hash(x) == hash(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_scalar(_cyclotomic), st.integers(-6, 8))
+def test_monomial_power_matches_repeated_squaring(x, n):
+    _same(x ** n, _squaring(x, n))
+
+
+_D = Scalar.sym("d")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_scalar(st.one_of(_unit_times_rational(12), _cyclotomic)), st.integers(1, 7))
+def test_monomial_root_matches_the_general_route(x, p):
+    # times (1 + d)^p the numerator has p + 1 terms, so _poly_radical_root
+    # divides out its monomial gcd and leading coefficient and calls poly_root
+    lifted = x * (ONE + _D) ** p
+    try:
+        fast = x.root(p)
+    except OutOfScopeError as exc:
+        with pytest.raises(type(exc)):
+            lifted.root(p)
+        return
+    _same(fast, lifted.root(p) / (ONE + _D))
+
+
+def test_root_of_a_non_unit_coefficient_raises():
+    # |1 + zeta_5| is the golden ratio: no rational times a root of unity
+    x = Scalar.from_cyclotomic(Cyclotomic.zeta(5) + 1) * A1
+    with pytest.raises(IrrationalRootError):
+        x.root(2)
+    with pytest.raises(IrrationalRootError):
+        parse_scalar("((1+zeta(5))*a)^(1/2)")
+
+
+def test_monomial_root_divides_no_polynomial(monkeypatch):
+    calls = {"poly_divexact": 0, "poly_root": 0, "__pow__": 0}
+
+    def counted(owner, name):
+        f = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    xs = [R(4) * A1 ** 3 / A2 ** 2, R(Fraction(-27, 8)) * A1 / A2 ** 5,
+          Scalar.zeta(12, 5) * R(Fraction(2, 9)) * A1 ** 6, parse_scalar("2^(1/3)*a1^(1/2)/a2")]
+    counted(scalars, "poly_divexact")
+    counted(scalars, "poly_root")
+    counted(Scalar, "__pow__")
+    roots = [x.root(p) for x in xs for p in (2, 3, 6)]
+    assert calls["poly_divexact"] == 0 and calls["poly_root"] == 0
+    # every root checks itself: one power per root, each of a monomial
+    assert calls["__pow__"] == len(roots)
+    assert all(len(r.num) == 1 and len(r.den) == 1 for r in roots)
