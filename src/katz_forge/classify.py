@@ -378,9 +378,9 @@ CLASSIFICATION_ROWS = (
 # differ (the published values 6 and 8 of the regular-case classification).
 EXCLUDED_ROW = ("excluded", "(zeta(3)E3, zeta(3)^2E3, 1)", E2_INF)
 
-# Lambda^3 Euler characteristics are computed for the families constructed
-# via the exterior-power argument (the hypergeometric family e4_* is handled
-# by cited theory instead).
+# The rows whose Lambda^3 Euler characteristic `--verify` reports.  Every
+# row has chi = 2 (tests/test_classify.py), but the pinned `--verify` output
+# (tests/snapshots/classify.json) has none for the e4 rows.
 _LAMBDA3_ROWS = {"e1_1", "e1_2", "e1_3", "e2", "e3"}
 
 

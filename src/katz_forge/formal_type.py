@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
-from .scalars import (Scalar, Eigenvalue, render_scalar, parse_scalar,
+from .scalars import (Scalar, Eigenvalue, OutOfScopeError, render_scalar, parse_scalar,
                       render_eigenvalue, parse_eigenvalue, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 from .elementary import (ElementaryModule, DetData, el_hom, hom_counts,
@@ -257,7 +258,7 @@ def _refine(ft: FormalType) -> list:
             continue
         for eig, size in e.r.blocks:
             if size > 1:
-                raise ValueError(
+                raise OutOfScopeError(
                     f"unsupported exterior power: ramified summand {render_elementary(e)} "
                     "has a Jordan block of size > 1")
             out.append(ElementaryModule.make(e.p, e.tail, JordanData.single(eig, 1)))
@@ -266,27 +267,31 @@ def _refine(ft: FormalType) -> list:
 
 def _piece_exterior(e: ElementaryModule, k: int):
     """Lambda^k of a single piece, k >= 1, as a FormalType (possibly zero
-    rank); None when k exceeds its rank."""
-    n = e.rank()
-    if k > n:
+    rank); None when k exceeds its rank.  A ramified El(p, phi, (lam)) is the
+    sum of the exponentials phi(zeta_p^i u), i in Z/p: an orbit of k-subsets S
+    under i -> i + 1, its stabilizer of order d, gives El(p/d, the tails
+    rotated by S summed, read in u^d, (mu)), mu = ((-1)^(k-1) lam)^(k/d), as
+    T^(p/d) wraps k/d members of S past p - 1, each a k-cycle of S."""
+    if k > e.rank():
         return None
-    if k == 1:
-        return FormalType.make(JordanData.zero(), [e])
     if e.p == 1:
         tail = {j: a * Scalar.rational(k) for j, a in e.tail}
         return FormalType.make(JordanData.zero(),
                                [ElementaryModule.make(1, tail, e.r.exterior(k))])
-    d = e.det()
-    if k == n:
-        return FormalType.make(JordanData.zero(),
-                               [ElementaryModule.make(1, d.tail, JordanData.single(d.eig, 1))])
-    if k == n - 1:
-        # Lambda^(n-1) = det (x) dual
-        if d.tail:
-            raise ValueError("exponential determinant in exterior power not supported")
-        return FormalType.make(JordanData.zero(), [e.dual().scale_eigenvalues(d.eig)])
-    raise ValueError(
-        f"unsupported exterior power Lambda^{k} of {render_elementary(e)} (rank {n})")
+    p, ((lam, _),) = e.p, e.r.blocks
+    out = []
+    for s in combinations(range(p), k):
+        turns = [tuple(sorted((i + t) % p for i in s)) for t in range(p)]
+        if min(turns) == s:
+            d, sums = turns.count(s), {}
+            for i in s:
+                for j, a in e.rotated(i).items():
+                    sums[j] = sums[j] + a if j in sums else a
+            # drop the pole orders that cancel across S (d may not divide them)
+            psi = {j // d: a for j, a in sums.items() if not a.is_zero()}
+            mu = (lam * Eigenvalue.make(Fraction(k - 1, 2))).pow(k // d)
+            out.append(ElementaryModule.make(p // d, psi, JordanData.single(mu)))
+    return FormalType.make(JordanData.zero(), out)
 
 
 def _compositions(n: int, total: int):

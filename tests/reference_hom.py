@@ -17,12 +17,17 @@ the route ``hom_counts`` took before it read block pairs: the invariants
 of [n/p1]^*R1^vee (x) [n/p2]^*R2, n = lcm(p1, p2), once per regular
 summand, their number read from the slope-0 part of ``cover_slopes``.
 
+``cover_exterior_slopes`` is Lambda^k of a piece El(p, phi, (lam)) on the
+same cover, with no orbit of subsets and no stabilizer: one factor per
+k-subset S of Z/p, with exponent the sum over S of the factors of [p]^*e.
+
 ``hom_module`` and ``exterior_cube_module`` build Hom and Lambda^3 as
 modules through ``FormalType.tensor``, for the laws that compare modules:
 the engine only counts them.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from katz_forge.formal_type import FormalType, _cube_terms
@@ -56,6 +61,21 @@ def cover_slopes(e1, e2) -> dict:
 
 def cover_irregularity(e1, e2) -> Fraction:
     return sum((s * d for s, d in cover_slopes(e1, e2).items()), Fraction(0))
+
+
+def cover_exterior_slopes(e, k: int) -> dict:
+    """slope -> dimension of that slope part of Lambda^k of a piece e whose
+    R has rank 1: a factor of pole order m in w has slope m/p."""
+    out: dict = {}
+    for s in combinations(range(e.p), k):
+        exponent: dict = {}
+        for i in s:
+            for j, a in _factor(e, e.p, i).items():
+                exponent[j] = exponent.get(j, ZERO) + a
+        order = max((j for j, a in exponent.items() if not a.is_zero()), default=0)
+        slope = Fraction(order, e.p)
+        out[slope] = out.get(slope, 0) + 1
+    return out
 
 
 def jordan_soln(e1, e2) -> Fraction:

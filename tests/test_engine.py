@@ -453,6 +453,29 @@ def test_moebius_and_twist_keep_the_rigidity_index(c, data):
     assert rigidity_index(op_twist(c, {loc: eig, INF: eig.inverse()})) == rig
 
 
+@st.composite
+def _scalar_at_infinity(draw):
+    """(c, chi): c is regular at its finite points and twisted to the scalar
+    monodromy chi != 1 at infinity, from scalar monodromy there, by a twist
+    at a drawn location."""
+    n = draw(st.integers(1, 4))
+    pts = {S(loc): FormalType.make(draw(_jordan(n))) for loc in draw(_ANY_POINTS)}
+    scalar = E(draw(st.sampled_from(_EIGS)))
+    pts[INF] = FormalType.make(JordanData.make([(scalar, 1)] * n))
+    chi = E(draw(st.sampled_from(_EIGS[1:])))
+    eps = scalar * chi.inverse()
+    loc = S(draw(st.sampled_from(_LOCATIONS)))
+    return op_twist(ConnectionDescriptor.make(pts, n), {loc: eps, INF: eps.inverse()}), chi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalar_at_infinity())
+def test_middle_convolution_keeps_the_rigidity_index(c_chi):
+    c, chi = c_chi
+    assert c.inf_type() == FormalType.make(JordanData.make([(chi, 1)] * c.rank))
+    assert rigidity_index(_in_scope(op_middle_convolution, c, chi)) == rigidity_index(c)
+
+
 @pytest.mark.parametrize("tail", ["a", "a^2"])
 def test_double_fourier_moves_finite_irregular_content(tail):
     # in the coordinate -z the tail term c/u becomes -c/u, as F o F gives

@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import Scalar, Eigenvalue, ONE
+from katz_forge.scalars import Scalar, Eigenvalue, ONE, OutOfScopeError, parse_scalar
 from katz_forge.jordan import JordanData, parse_jordan
-from katz_forge.elementary import El, ElementaryModule
+from katz_forge.elementary import El, ElementaryModule, render_elementary
 from katz_forge.formal_type import (FormalType, parse_formal_type,
                                     render_formal_type, formal_type_to_json,
-                                    formal_type_from_json)
+                                    formal_type_from_json, _piece_exterior)
 from katz_forge.fourier import vanishing_data, nearby_from_vanishing
 from katz_forge.engine import load_descriptor, parse_script, run_script
 from katz_forge.cli import golden_dir, golden_path
-from reference_hom import hom_module, exterior_cube_module
+from reference_hom import hom_module, exterior_cube_module, cover_exterior_slopes
 
 J = parse_jordan
 FT = parse_formal_type
@@ -186,8 +186,33 @@ class TestExteriorCube:
 
     def test_unsupported_block(self):
         f = FormalType.make(JordanData.zero(), [El(2, A1, "(J(2))")])
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfScopeError):
             f.exterior_cube()
+
+    @pytest.mark.parametrize("lam", ["l", "-1", "1", "zeta(3)"])
+    @pytest.mark.parametrize("tail", [{1: "a1"}, {1: "a1", 2: "a2"}, {2: "a1", 3: "b^(1/2)"}])
+    def test_piece_exterior_against_the_cover(self, tail, lam):
+        # Lambda^k of El(u^p, tail, (lam)) for p = 2..7 and every k <= p.
+        # In the last tail the two terms carry different radicals, and the
+        # pole order 3 cancels across S = {0, 2} (p = 4, k = 2; d = 2)
+        for p in range(2, 8):
+            e = ElementaryModule.make(p, {j: parse_scalar(a) for j, a in tail.items()},
+                                      J(f"({lam})"))
+            det = e.det()
+            for k in range(1, p + 1):
+                got = _piece_exterior(e, k)
+                cover = cover_exterior_slopes(e, k)
+                case = f"Lambda^{k} {render_elementary(e)}"
+                assert got.slopes() == cover, case
+                assert got.irregularity() == sum(s * d for s, d in cover.items()), case
+                assert got.formal_monodromy() == e.r.push(p).exterior(k), case
+                # the closed forms: det, and det (x) dual where det has no tail
+                if k == p:
+                    assert got == FormalType.make(JordanData.zero(), [ElementaryModule.make(
+                        1, det.tail, JordanData.single(det.eig))]), case
+                if k == p - 1 and not det.tail:
+                    assert got == FormalType.make(
+                        JordanData.zero(), [e.dual().scale_eigenvalues(det.eig)]), case
 
     def test_finite_point_invariants(self):
         assert J("(J(3), J(3), 1)").exterior(3).invariants_dim() == 13
@@ -252,7 +277,7 @@ class TestTensorAndJson:
 
     def test_counts_match_the_modules_on_every_golden_type(self):
         # the counts read from the raw Hom summands are the numbers of the
-        # normalized modules: End, 500 Homs, and Lambda^3 where it is defined
+        # normalized modules: End, 500 Homs, and Lambda^3 on every type
         def numbers(x):
             return x.rank(), x.irregularity(), x.soln_dim()
         fts = sorted(_golden_and_replay_types(), key=render_formal_type)
@@ -272,7 +297,7 @@ class TestTensorAndJson:
                 continue
             assert numbers(ft.exterior_cube()) == numbers(cube), render_formal_type(ft)
             cubes += 1
-        assert cubes == 47
+        assert cubes == 50
 
     def test_json_round_trip(self):
         for ft in (E1, E2, E3, E4):
