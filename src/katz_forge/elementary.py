@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (Scalar, Eigenvalue, ZERO, ONE, SCALAR,
+from .scalars import (Scalar, Eigenvalue, ZERO, ONE, SCALAR, IrrationalSumError,
                       render_scalar, parse_expression, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 
@@ -210,47 +210,59 @@ def El(p: int, tail, r) -> ElementaryModule:
 # -- Hom / tensor decomposition (Sabbah) -------------------------------------
 
 def _hom_summands(e1: ElementaryModule, e2: ElementaryModule):
-    """Hom(E1, E2) as (a, b, tails): E1 and E2 normalized, and one raw tail
-    per k mod gcd(p1, p2), a dict without zero terms, neither reduced nor
-    rotated to its orbit minimum.  Summand k is El(n, tails[k], R) with
-    n = lcm(p1, p2) and R = [n/p1]^*R1^vee (x) [n/p2]^*R2, the same for
-    every k."""
+    """Hom(E1, E2) as (a, b, pairs): E1 and E2 normalized, and per k mod
+    gcd(p1, p2) the aligned pair (own, rotated) of dicts pole order ->
+    coefficient, E2's tail and E1's tail under the deck rotation by
+    zeta_p1^k, both on the cover of order n = lcm(p1, p2).  Summand k is
+    El(n, own - rotated, R), R = [n/p1]^*R1^vee (x) [n/p2]^*R2 the same
+    for every k; its tail is neither reduced nor rotated to its orbit
+    minimum."""
     a, b = e1.normalize(), e2.normalize()
     d = gcd(a.p, b.p)
     p1p, p2p = a.p // d, b.p // d
     own = {j * p1p: c for j, c in b.tail}
-    tails = []
-    for k in range(d):
-        tail = dict(own)
-        # phi1((zeta w)^{p2'}) with zeta = e^(2 pi i k d / (p1 p2)) is phi1
-        # under the deck rotation by zeta_p1^k
-        for j, c in a.rotated(k).items():
-            jj = j * p2p
-            tail[jj] = tail.get(jj, ZERO) - c
-        tails.append({j: c for j, c in tail.items() if not c.is_zero()})
-    return a, b, tails
+    # phi1((zeta w)^{p2'}) with zeta = e^(2 pi i k d / (p1 p2)) is phi1
+    # under the deck rotation by zeta_p1^k
+    return a, b, [(own, {j * p2p: c for j, c in a.rotated(k).items()}) for k in range(d)]
 
 
 def el_hom(e1: ElementaryModule, e2: ElementaryModule) -> list:
     """Hom(E1, E2) decomposed into elementary modules (normalized); regular
     summands come out with empty tail."""
-    a, b, tails = _hom_summands(e1, e2)
+    a, b, pairs = _hom_summands(e1, e2)
     n = lcm(a.p, b.p)
     rr = a.r.dual().pull(n // a.p).tensor(b.r.pull(n // b.p))
-    return [ElementaryModule.make(n, tail, rr).normalize() for tail in tails]
+    out = []
+    for own, rot in pairs:
+        tail = dict(own)
+        for j, c in rot.items():
+            tail[j] = tail.get(j, ZERO) - c
+        out.append(ElementaryModule.make(n, tail, rr).normalize())
+    return out
 
 
 def hom_counts(e1: ElementaryModule, e2: ElementaryModule) -> tuple:
-    """(irr, dim Soln) of Hom(E1, E2) from the raw tails and the Jordan
-    blocks, with no module built: rk R1 rk R2 times each tail's top pole
-    order, and where a tail is empty, the sum of min(s1, s2) over the block
-    pairs (x, s1) of R1 and (y, s2) of R2 with x = y.  A tail is empty only
-    where p1 = p2 (no factor of p divides every pole order of a normal
-    tail), so R = R1^vee (x) R2, and for one k only (no deck rotation but 1
-    fixes a normal tail)."""
-    a, b, tails = _hom_summands(e1, e2)
-    irr = a.r.rank() * b.r.rank() * sum(max(t) for t in tails if t)
-    if {} not in tails:
+    """(irr, dim Soln) of Hom(E1, E2) from the aligned tails and the Jordan
+    blocks, with no module and no scalar built: rk R1 rk R2 times, per
+    pair, the top pole order where the aligned tails differ, and where they
+    agree at every order (an empty tail), the sum of min(s1, s2) over the
+    block pairs (x, s1) of R1 and (y, s2) of R2 with x = y.  Coefficients
+    are canonical, so two with equal radical parts differ exactly when
+    their difference is nonzero; two with different radical parts raise
+    IrrationalSumError, as their difference does, since such parts may
+    still name one number.  A tail is empty only where p1 = p2 (no factor
+    of p divides every pole order of a normal tail), so R = R1^vee (x) R2,
+    and for one k only (no deck rotation but 1 fixes a normal tail)."""
+    a, b, pairs = _hom_summands(e1, e2)
+    tops = []
+    for own, rot in pairs:
+        for j in own.keys() & rot.keys():
+            if own[j].rad != rot[j].rad:
+                raise IrrationalSumError("adding scalars with different radical parts")
+        tops.append(max((j for j in own.keys() | rot.keys() if own.get(j) != rot.get(j)),
+                        default=0))
+    irr = a.r.rank() * b.r.rank() * sum(tops)
+    if 0 not in tops:
         return irr, 0
     return irr, sum(min(s1, s2) for x, s1 in a.r.blocks for y, s2 in b.r.blocks if x == y)
 

@@ -12,7 +12,7 @@ dimensions via centralizers, self-duality and determinant checks, formal
 monodromy, exponential-torus dimension and exterior cubes.
 
 ``hom``, ``end`` and ``exterior_cube`` return ``Counts`` (rank, irr,
-dim Soln), read from the raw Hom tails and the members' Jordan blocks
+dim Soln), read from the aligned Hom tails and the members' Jordan blocks
 with no Hom module built: all that a rigidity index or an Euler
 characteristic reads.  ``tensor`` is the one product built as a module, a
 normalized, merged FormalType; it builds the head of a Lambda^3 term, the
@@ -125,23 +125,32 @@ class FormalType:
     def exponential_torus_dim(self) -> int:
         """Dimension of the Q-span of the conjugate exponential tails of all
         members, with symbols/radicals/cyclotomic basis elements treated as
-        independent coordinates."""
+        independent coordinates: the rank of one integer row per member and
+        deck rotation u -> zeta_p^i u.  The rotation multiplies the term of
+        pole order j by zeta_p^(-ji), so each coefficient is read in
+        Q(zeta_n) by ``Cyclotomic._lift`` with that shift, over the common
+        denominator of the member, and no rotated scalar is built."""
         n = 1
         for e in self.irregular:
             n = lcm(n, e.p)
             for _, a in e.tail:
                 for cyc in a.numd().values():
                     n = lcm(n, cyc.order)
-        vectors = []
+        keys: dict = {}
+        rows = []
         for e in self.irregular:
+            den = lcm(*(cyc.den for _, a in e.tail for _, cyc in a.num))
             for i in range(e.p):
-                vec: dict = {}
-                for j, tw in e.rotated(i).items():
-                    for key, val in _scalar_coords(tw, n).items():
-                        vec[(j,) + key] = vec.get((j,) + key, Fraction(0)) + val
-                vectors.append(vec)
-        keys = sorted({k for v in vectors for k in v})
-        return len(row_reduce([[v.get(k, Fraction(0)) for k in keys] for v in vectors]))
+                row: dict = {}
+                rows.append(row)
+                for j, a in e.tail:
+                    shift = (-j * i % e.p) * (n // e.p)
+                    for mono, cyc in a.num:
+                        for k, co in enumerate(cyc._lift(n, shift)):
+                            if co:
+                                key = keys.setdefault((j, a.rad, a.den, mono, k), len(keys))
+                                row[key] = co * (den // cyc.den)
+        return len(row_reduce([[row.get(k, 0) for k in range(len(keys))] for row in rows]))
 
     def tensor(self, other: "FormalType") -> "FormalType":
         """self (x) other, as Hom(other^vee, self)."""
@@ -201,17 +210,6 @@ def _hom_counts(xs: list, ys: list) -> Counts:
             irr += h_irr
             soln += h_soln
     return Counts(sum(a.rank() for a in xs) * sum(b.rank() for b in ys), irr, soln)
-
-
-def _scalar_coords(s: Scalar, order: int) -> dict:
-    """Rational coordinate vector of a scalar: keys index (radical part,
-    denominator, numerator monomial, basis slot in Q(zeta_order))."""
-    out: dict = {}
-    for mono, cyc in s.numd().items():
-        for k, co in enumerate(cyc._lift(order)):
-            if co:
-                out[(s.rad, s.den, mono, k)] = Fraction(co, cyc.den)
-    return out
 
 
 # -- exterior cube -------------------------------------------------------------

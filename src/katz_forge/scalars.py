@@ -127,11 +127,15 @@ def _dense_mul(a, b) -> list:
 
 
 def row_reduce(m) -> list:
-    """Bring the rows of m (lists of Fractions, changed in place) to reduced
-    row echelon form over Q.  Returns the pivot columns in order: row i has
-    its pivot 1 in column piv_cols[i], and the rows after the last pivot row
-    are zero, so len(piv_cols) is the rank."""
+    """Bring the rows of m (lists of ints or Fractions, changed in place) to
+    reduced row echelon form over Q up to one nonzero factor per row, with
+    no division: a row is cleared by cross-multiplying it with the pivot
+    row, and a row of ints is then divided by the gcd of its entries.
+    Returns the pivot columns in order: row i has its pivot, nonzero, in
+    column piv_cols[i] and zeros in the other pivot columns, and the rows
+    after the last pivot row are zero, so len(piv_cols) is the rank."""
     nrows, ncols = len(m), len(m[0]) if m else 0
+    ints = all(type(x) is int for row in m for x in row)
     piv_cols = []
     r = 0
     for c in range(ncols):
@@ -141,12 +145,13 @@ def row_reduce(m) -> list:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        top, pivot = m[r], m[r][c]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                row = [pivot * x - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row) if ints else 1
+                m[i] = [x // g for x in row] if g > 1 else row
         piv_cols.append(c)
         r += 1
     return piv_cols
@@ -166,15 +171,15 @@ def _subfield_projection(n: int, m: int) -> tuple:
     s * x[r] == sum(c * x[i]) for all of them.  Rows with fewest terms come
     first, as most elements fail at once."""
     step = n // m
-    cols = [[Fraction(v) for v in _zeta_power(n, step * k)] for k in range(_euler_phi(m))]
+    cols = [list(_zeta_power(n, step * k)) for k in range(_euler_phi(m))]
     phi_m, phi_n = len(cols), _euler_phi(n)
     # reducing [cols | I] once gives E cols in echelon form and E; the solution
     # of cols x = e_j with free coordinates 0 is column j of E on the pivots
-    aug = [row + [Fraction(int(i == j)) for j in range(phi_m)] for i, row in enumerate(cols)]
+    aug = [row + [int(i == j) for j in range(phi_m)] for i, row in enumerate(cols)]
     left = [[Fraction(0)] * phi_n for _ in range(phi_m)]
     for i, c in enumerate(row_reduce(aug)):
         for j in range(phi_m):
-            left[j][c] = aug[i][phi_n + j]
+            left[j][c] = Fraction(aug[i][phi_n + j], aug[i][c])
     support = sorted({i for row in left for i, c in enumerate(row) if c})
     checks = []
     for r in sorted(set(range(phi_n)) - set(support)):
@@ -295,13 +300,13 @@ class Cyclotomic:
             num, den = [x // g for x in num], den // g
         return Cyclotomic._raw(m, tuple(num), den)
 
-    def _lift(self, n: int):
-        """Numerators of self inside Q(zeta_n) (self.order | n), over
-        self.den."""
-        if n == self.order:
+    def _lift(self, n: int, shift: int = 0):
+        """Numerators of self * zeta_n^shift inside Q(zeta_n) (self.order
+        | n), over self.den: every exponent of self moves up by shift."""
+        if n == self.order and not shift:
             return self.num
         step = n // self.order
-        return _power_sum(n, ((step * k, c) for k, c in enumerate(self.num)))
+        return _power_sum(n, (((step * k + shift) % n, c) for k, c in enumerate(self.num)))
 
     # -- arithmetic --------------------------------------------------------
     def _binop(self, other):
@@ -340,15 +345,11 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def times_zeta(self, n: int, k: int) -> "Cyclotomic":
-        """self * zeta_n^k: in Q(zeta_m), m the lcm of self.order and n,
-        every exponent of self moves up by k * m / n."""
+        """self * zeta_n^k, read in Q(zeta_m), m the lcm of self.order and n."""
         if k % n == 0:
             return self
         m = lcm(self.order, n)
-        step, shift = m // self.order, k * (m // n)
-        return Cyclotomic._canonical(
-            m, _power_sum(m, (((step * i + shift) % m, c) for i, c in enumerate(self.num))),
-            self.den)
+        return Cyclotomic._canonical(m, self._lift(m, k * (m // n)), self.den)
 
     def inverse(self) -> "Cyclotomic":
         """1 / self: the product of the other Galois conjugates of self,

@@ -17,6 +17,14 @@ the route ``hom_counts`` took before it read block pairs: the invariants
 of [n/p1]^*R1^vee (x) [n/p2]^*R2, n = lcm(p1, p2), once per regular
 summand, their number read from the slope-0 part of ``cover_slopes``.
 
+``cover_soln`` is dim Soln of Hom(E1, E2) for p1 = p2 = p by adjunction on
+the cover u^p: Hom([p]_*A1, [p]_*A2) = Hom([p]^*[p]_*A1, A2) for
+A = E^phi (x) R, and [p]^*[p]_*A1 is the sum of the p deck rotations of
+A1, each with R1 unchanged (a regular connection on the punctured disc is
+isomorphic to its rotation).  So dim Soln is the number of k mod p with
+phi2 - phi1(zeta_p^k .) = 0, by subtraction, times dim Hom(R1, R2), the
+invariants of R1^vee (x) R2.
+
 ``cover_exterior_slopes`` is Lambda^k of a piece El(p, phi, (lam)) on the
 same cover, with no orbit of subsets and no stabilizer: one factor per
 k-subset S of Z/p, with exponent the sum over S of the factors of [p]^*e.
@@ -61,6 +69,19 @@ def cover_slopes(e1, e2) -> dict:
 
 def cover_irregularity(e1, e2) -> Fraction:
     return sum((s * d for s, d in cover_slopes(e1, e2).items()), Fraction(0))
+
+
+def cover_soln(e1, e2) -> int:
+    """dim Soln of Hom(E1, E2) for modules on covers of one order p."""
+    if e1.p != e2.p:
+        raise ValueError("cover_soln needs p1 = p2")
+    same = 0
+    for k in range(e1.p):
+        diff = dict(e2.tail)
+        for j, a in _factor(e1, e1.p, k).items():
+            diff[j] = diff.get(j, ZERO) - a
+        same += all(a.is_zero() for a in diff.values())
+    return same * e1.r.dual().tensor(e2.r).invariants_dim()
 
 
 def cover_exterior_slopes(e, k: int) -> dict:

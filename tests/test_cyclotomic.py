@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_cyclotomic as ref
-from katz_forge.scalars import Cyclotomic, _subfield_projection, render_cyclotomic
+import reference_torus
+from katz_forge.scalars import (Cyclotomic, _prime_divisors, _subfield_projection,
+                                render_cyclotomic, row_reduce)
 
 # The reference is pure; its as_unit_times_rational inverts up to 48 roots of
 # unity by an elimination each, so memoize the roots and their inverses.
@@ -143,6 +145,44 @@ def test_subfield_projection_is_unit_vector_solves():
             for j, row in enumerate(reads):
                 x = ref._solve_linear(cols, [Fraction(int(i == j)) for i in range(len(cols))])
                 assert {i: Fraction(c, d) for i, c in row} == {i: v for i, v in enumerate(x) if v}
+
+
+def test_subfield_tables_match_the_fraction_elimination():
+    """The tables read from the fraction-free elimination are those of the
+    Fraction Gauss-Jordan, entry for entry, and all ints."""
+    for n in range(2, 61):
+        for q in _prime_divisors(n):
+            got = _subfield_projection(n, n // q)
+            assert got == reference_torus.subfield_projection(n, n // q), (n, q)
+            checks, reads, d = got
+            assert type(d) is int
+            assert all(type(s) is int and all(type(c) is int for _, c in row)
+                       for _, s, row in checks)
+            assert all(type(c) is int for row in reads for _, c in row)
+
+
+def _matrices(entry):
+    return st.integers(1, 7).flatmap(
+        lambda ncols: st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(st.integers(-4, 4)) | _matrices(SMALL))
+def test_row_reduce_is_gauss_jordan_up_to_a_factor_per_row(m):
+    # same pivots and rank as the Fraction Gauss-Jordan; each pivot row over
+    # its pivot is that row of the reduced echelon form, the rest are zero;
+    # int rows stay ints
+    ints = all(type(x) is int for row in m for x in row)
+    want = [[Fraction(x) for x in row] for row in m]
+    piv = reference_torus.fraction_row_reduce(want)
+    got = [row[:] for row in m]
+    assert row_reduce(got) == piv
+    for i, row in enumerate(got):
+        if i < len(piv):
+            assert [Fraction(x) / row[piv[i]] for x in row] == want[i]
+        else:
+            assert not any(row)
+        assert not ints or all(type(x) is int for x in row)
 
 
 @settings(max_examples=150, deadline=None)

@@ -465,3 +465,50 @@ def test_hom_soln_from_block_pairs_matches_the_jordan_tensor(a, b):
         assert counts is None
         return
     assert counts[1] == want
+
+
+@st.composite
+def _same_cover_pairs(draw):
+    # p1 = p2 = p from 1, raw tails (not always normal, so that p may drop
+    # on normalizing) with the second often a rotation of the first, and
+    # blocks whose eigenvalues often agree
+    p = draw(st.integers(1, 4))
+    tail = draw(st.sampled_from(_BLOCK_TAILS + [{1: A1, 3: Scalar.zeta(3) * A2}]))
+    first = ElementaryModule.make(p, tail, J("(1)"))
+    second = draw(st.sampled_from([first.rotated(draw(st.integers(0, p - 1))), {1: A2}, {}]))
+    blocks = st.lists(st.tuples(st.sampled_from(_BLOCK_EIGS), st.integers(1, 3)),
+                      min_size=1, max_size=2)
+    return (ElementaryModule.make(p, tail, JordanData.make(draw(blocks))),
+            ElementaryModule.make(p, second, JordanData.make(draw(blocks))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_cover_pairs())
+def test_hom_soln_by_comparison_matches_the_cover(pair):
+    # hom_counts reads an empty tail where the aligned tails are equal at
+    # every pole order; the cover subtracts them
+    a, b = pair
+    assert hom_counts(a, b)[1] == ref.cover_soln(a, b)
+
+
+def test_hom_soln_on_the_trivial_cover():
+    # p = 1: Soln is Hom(R1, R2) exactly where the tails are equal; the
+    # blocks of eigenvalue 1 give min(1, 3) + min(2, 3)
+    r1, r2 = J("(1, J(2), -1)"), J("(J(3), i)")
+    for t1, t2, soln in [({1: A1}, {1: A1}, 3), ({1: A1}, {1: -A1}, 0),
+                         ({1: A1, 2: A2}, {1: A1, 2: A2}, 3), ({2: A2}, {1: A1, 2: A2}, 0)]:
+        a, b = El(1, t1, r1), El(1, t2, r2)
+        assert hom_counts(a, b)[1] == ref.cover_soln(a, b) == soln
+
+
+def test_radical_parts_naming_one_number_stay_out_of_scope():
+    # 2^(1/2) and zeta(8) + zeta(8)^7 are one number written with different
+    # radical parts: comparing them must not give a count
+    a = El(2, parse_scalar("2^(1/2)*a"), "(1)")
+    b = El(2, parse_scalar("(zeta(8)+zeta(8)^7)*a"), "(1)")
+    for f in (hom_counts, el_hom):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(IrrationalSumError):
+                f(x, y)
+    with pytest.raises(IrrationalSumError):
+        FormalType.make(JordanData.zero(), [a, b]).end()

@@ -14,6 +14,7 @@ from katz_forge.fourier import vanishing_data, nearby_from_vanishing
 from katz_forge.engine import load_descriptor, parse_script, run_script
 from katz_forge.cli import golden_dir, golden_path
 from reference_hom import hom_module, exterior_cube_module, cover_exterior_slopes
+import reference_torus
 
 J = parse_jordan
 FT = parse_formal_type
@@ -152,6 +153,74 @@ class TestTorus:
     def test_single_exponential(self):
         f = FT("El(1, a1, (m))")
         assert f.exponential_torus_dim() == 1
+
+    def test_denominators_that_differ_in_a_coefficient(self):
+        # coordinates over the denominators b + 1 and b + 2 differ in a
+        # Cyclotomic, which has no order: columns are numbered, not sorted
+        f = FT("El(1, a/(b+1), (1)) + El(1, a/(b+2), (1))")
+        assert f.exponential_torus_dim() == 2
+
+    @pytest.mark.parametrize("p,dim", [(60, 16), (84, 24), (97, 96)])
+    def test_rotations_of_one_tail_span_phi_p(self, p, dim):
+        # the p rotations of a/u span the p-th roots of unity times a, a
+        # space of dimension phi(p); the earlier route agrees
+        f = FormalType.make(JordanData.zero(), [El(p, Scalar.sym("a"), "(1)")])
+        assert f.exponential_torus_dim() == dim == reference_torus.torus_dim(f)
+
+
+_TORUS_SYMBOLS = [Scalar.sym("a"), Scalar.sym("b"), Scalar.sym("a") * Scalar.sym("b"),
+                  Scalar.sym("a") ** 2, ONE, Scalar.sym("a") / Scalar.sym("b")]
+_TORUS_RADICALS = [parse_scalar(t) for t in ("2^(1/2)", "3^(1/3)", "a^(1/2)", "b^(2/3)")]
+
+
+@st.composite
+def _torus_types(draw):
+    # pieces p = 1..6 whose tails share the symbols a and b; each
+    # coefficient a sum of q zeta_m^k times a monomial, m from one or two
+    # orders in 1..12 per type, and at most one coefficient with a radical;
+    # a piece may repeat the one before times a rational, so that the rank
+    # depends on the scale of each coefficient
+    orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    fractions = st.fractions(-3, 3, max_denominator=4)
+    term = st.tuples(st.sampled_from(orders), st.integers(0, 11), fractions,
+                     st.sampled_from(_TORUS_SYMBOLS))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        if pieces and draw(st.booleans()):
+            q = Scalar.rational(draw(fractions.filter(bool)))
+            pieces.append([pieces[-1][0], {j: c * q for j, c in pieces[-1][1].items()}])
+            continue
+        tail = {}
+        for j in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)):
+            c = Scalar.rational(0)
+            for m, k, q, mono in draw(st.lists(term, min_size=1, max_size=2)):
+                c = c + Scalar.rational(q) * Scalar.zeta(m, k % m) * mono
+            if not c.is_zero():
+                tail[j] = c
+        pieces.append([draw(st.integers(1, 6)), tail])
+    radical = draw(st.none() | st.sampled_from(_TORUS_RADICALS))
+    if radical is not None:
+        tail = pieces[0][1]
+        if tail:
+            j = max(tail)
+            tail[j] = tail[j] * radical
+    return FormalType.make(JordanData.zero(), [ElementaryModule.make(p, tail, J("(1)"))
+                                               for p, tail in pieces])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_torus_types())
+def test_torus_dim_matches_the_rotated_scalars_route(ft):
+    # integer rows of shifted lifts, fraction-free elimination: the rank of
+    # the earlier route's Fraction rows of canonical rotated scalars, and
+    # the same refusal where Q(zeta_n) is too large
+    try:
+        want = reference_torus.torus_dim(ft)
+    except OutOfScopeError:
+        with pytest.raises(OutOfScopeError):
+            ft.exponential_torus_dim()
+        return
+    assert ft.exponential_torus_dim() == want
 
 
 class TestExteriorCube:

@@ -88,6 +88,13 @@ OUT_OF_SCOPE = {
     "radical_sum": _rank4_inf_pair("a1"),
     # the cover (a1+1)*u^2 needs the square root of a1+1
     "irrational_root": _rank4_inf_pair("a1+1"),
+    # End compares 2^(1/2)*a1 with (zeta(8)+zeta(8)^7)*a1: one number
+    # written with two radical parts
+    "radical_parts_naming_one_number": {"rank": 4, "points": {
+        "0": {"regular": [["1", 4]], "irregular": []},
+        "inf": {"regular": [], "irregular": [
+            {"p": 2, "c": "1", "phi": {"-1": phi}, "R": [["1", 1]]}
+            for phi in ("2^(1/2)*a1", "(zeta(8)+zeta(8)^7)*a1")]}}},
 }
 
 ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)",
@@ -254,6 +261,17 @@ def test_large_cyclotomic_order_is_out_of_scope(tmp_path):
                          timeout=30)
     assert res.returncode == 3, res.stderr
     assert res.stdout == "" and res.stderr.startswith("out of scope: Q(zeta(2310))")
+
+
+def test_check_reads_denominators_that_differ_in_a_constant(tmp_path, capsys):
+    # e2 with tails a1/(a2+1) and a1/(a2+2): the torus dimension counts them
+    # as two independent tails
+    d = _e2_with(E2_EL + ("phi",), {"-1": "a1/(a2+1)"})
+    d["points"]["inf"]["irregular"][1]["phi"] = {"-1": "a1/(a2+2)"}
+    path = tmp_path / "e2_dens.json"
+    path.write_text(json.dumps(d))
+    assert main(["check", str(path)]) == 0
+    assert "exponential torus dim = 3\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", EIGENVALUES)

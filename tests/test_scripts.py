@@ -1,7 +1,8 @@
 """Smoke test of the runnable drivers in scripts/: each runs as a
 subprocess, exits 0 and prints something.  The stdout of emit_tables.py is
 also compared byte for byte with tests/pins/emit_tables.txt, and the files
-make_goldens.py writes with the committed goldens."""
+make_goldens.py writes with the committed goldens.  bench_pairs.py, which
+runs the benchmark for half an hour, is tested on its summary alone."""
 
 import os
 import shutil
@@ -48,3 +49,35 @@ def test_make_goldens_reproduces_the_goldens(tmp_path):
     for name in os.listdir(golden):
         with open(os.path.join(golden, name), "rb") as fh:
             assert (made / name).read_bytes() == fh.read(), name
+
+
+def test_bench_pairs_summary():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.pop(0)
+    runs = [{"side": side, "workload": "check", "pair": i,
+             "result": {"correct": True, "attempted": 10, "failed": int(side == "change"),
+                        "metrics": {"job_ms_p90": {"value": v}, "jobs_per_s": {"value": 100 / v}}}}
+            for i, (p, c) in enumerate([(4.0, 3.0), (5.0, 3.5), (4.5, 4.6), (6.0, 3.0)])
+            for side, v in (("parent", p), ("change", c))]
+    metrics = [{"name": "job_ms_p90", "better": "lower", "bound": 0.25},
+               {"name": "jobs_per_s", "better": "higher", "bound": 0.1}]
+    summary = bench_pairs.summarize(runs, metrics)["check"]
+    assert (summary["pairs"], summary["all_correct"]) == (4, True)
+    assert summary["failed"] == {"parent": 0, "change": 4}
+    assert summary["attempted"] == {"parent": 40, "change": 40}
+    p90 = summary["metrics"]["job_ms_p90"]
+    # medians 4.75 and 3.25, parent quartiles 4.375 and 5.25
+    assert p90["parent_q1_median_q3"] == [4.375, 4.75, 5.25]
+    assert p90["change_wins"] == "3/4"
+    assert p90["median_change_pct"] == -31.6
+    assert p90["parent_iqr_pct_of_median"] == 18.4
+    assert p90["parent_min_max"] == [4.0, 6.0] and p90["change_min_max"] == [3.0, 4.6]
+    assert (p90["bound_pct"], p90["worse_beyond_bound"]) == (25.0, False)
+    rate = summary["metrics"]["jobs_per_s"]
+    assert rate["change_wins"] == "3/4" and rate["median_change_pct"] > 10
+    assert rate["worse_beyond_bound"] is False
+    slower = bench_pairs.summarize_metric([10.0] * 3, [8.0] * 3, "higher", 0.1)
+    assert slower["median_change_pct"] == -20.0 and slower["worse_beyond_bound"] is True
