@@ -27,11 +27,18 @@ INF = "inf"
 
 class ContradictionError(RuntimeError):
     """A transport step produced structurally impossible data; the report
-    carries the reason (these reports are how non-existence is proved)."""
+    carries the reason (these reports are how non-existence is proved).
+    The fields hold the same facts as data, each None where it does not
+    apply: the script step (from 1) and the op that raised, the location
+    (a Scalar or INF) and the rank the data there needs against the rank
+    available."""
 
-    def __init__(self, report: str):
+    def __init__(self, report: str, step=None, op=None, location=None, needed=None,
+                 available=None):
         super().__init__(report)
         self.report = report
+        self.step, self.op, self.location = step, op, location
+        self.needed, self.available = needed, available
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,8 @@ def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
     if new_inf.rank() != h_new:
         raise ContradictionError(
             f"rank mismatch: transform has generic rank {h_new} but the "
-            f"assembled infinity type has rank {new_inf.rank()}")
+            f"assembled infinity type has rank {new_inf.rank()}",
+            op="fourier", location=INF, needed=new_inf.rank(), available=h_new)
     # finite points of the transform from the pieces at infinity of the
     # source; slope-(<1) pieces carry the z -> -z deck twist, so that on
     # descriptors singular only at 0 and infinity with slopes < 1 there,
@@ -228,24 +236,27 @@ def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
     for e in c.inf_type().summands():
         s, piece = lft_inf_to_s(epsilon_twist_inf(e) if e.slope() < 1 else e)
         van.setdefault(s, []).append(piece)
-    pts = {s: _nearby_type(FormalType.make(JordanData.zero(), pieces), h_new, lambda needed, v: (
-        f"rank mismatch: transform has generic rank {h_new} but the formal type at "
-        f"{render_scalar(s)} would need rank {needed}: vanishing data {v}"))
+    pts = {s: _nearby_type(
+        FormalType.make(JordanData.zero(), pieces), h_new, "fourier", s, lambda needed, v: (
+            f"rank mismatch: transform has generic rank {h_new} but the formal type at "
+            f"{render_scalar(s)} would need rank {needed}: vanishing data {v}"))
         for s, pieces in van.items()}
     pts[INF] = new_inf
     return ConnectionDescriptor.make(pts, h_new)
 
 
-def _nearby_type(v: FormalType, rank: int, report) -> FormalType:
-    """The formal type of generic rank `rank` at a finite point whose
-    vanishing data is v: eigenvalue-1 blocks of its regular part gain one
-    dimension, and J(1) blocks pad it to `rank`.  When v needs a larger
-    rank, raises ContradictionError(report(needed rank, rendered v))."""
+def _nearby_type(v: FormalType, rank: int, op: str, location, report) -> FormalType:
+    """The formal type of generic rank `rank` at the finite point `location`
+    whose vanishing data is v: eigenvalue-1 blocks of its regular part gain
+    one dimension, and J(1) blocks pad it to `rank`.  When v needs a larger
+    rank, raises ContradictionError(report(needed rank, rendered v)) with
+    the op, the location and both ranks."""
     el_rank = v.rank() - v.regular.rank()
     nearby = nearby_from_vanishing(v.regular, rank - el_rank)
     needed = nearby.rank() + el_rank
     if needed > rank:
-        raise ContradictionError(report(needed, render_formal_type(v)))
+        raise ContradictionError(report(needed, render_formal_type(v)), op=op,
+                                 location=location, needed=needed, available=rank)
     return FormalType(nearby, v.irregular)
 
 
@@ -260,12 +271,13 @@ def op_middle_convolution(c: ConnectionDescriptor, chi: Eigenvalue) -> Connectio
             "twist first (adding a fake singularity if necessary)")
     h_new = fourier_rank(c) - c.rank
     if h_new <= 0:
-        raise ContradictionError(f"middle convolution rank dropped to {h_new}")
+        raise ContradictionError(f"middle convolution rank dropped to {h_new}", op="mc",
+                                 needed=1, available=h_new)
     # a piece El(u^p, a/u^q, R) of the vanishing data is scaled by
     # chi^(p + q), a regular piece (p + q = 1) by chi
     pts = {loc: _nearby_type(FormalType.make(JordanData.zero(), [
         ElementaryModule.make(e.p, e.tail, e.r.scale(chi.pow(e.p + e.q())))
-        for e in _vanishing(ft).summands()]), h_new, lambda needed, v: (
+        for e in _vanishing(ft).summands()]), h_new, "mc", loc, lambda needed, v: (
             f"rank {h_new} system forced to carry vanishing data {v} at "
             f"{render_location(loc)} (needs rank >= {needed})"))
         for loc, ft in c.finite_points()}
@@ -365,7 +377,8 @@ def run_script(c0: ConnectionDescriptor, steps) -> list:
         try:
             trace.append(step.apply(trace[-1]))
         except ContradictionError as exc:
-            raise ContradictionError(f"step {i} ({step.op}): {exc.report}") from exc
+            raise ContradictionError(f"step {i} ({step.op}): {exc.report}", i, exc.op,
+                                     exc.location, exc.needed, exc.available) from exc
         except (ValueError, OutOfScopeError) as exc:
             raise type(exc)(f"step {i} ({step.op}): {exc}") from exc
     return trace

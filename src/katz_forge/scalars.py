@@ -333,6 +333,12 @@ class Cyclotomic:
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.from_rational(other)
+        if self.order == 1 == other.order:
+            # two rationals: the products of numerators and of denominators
+            # over their gcd
+            n, d = self.num[0] * other.num[0], self.den * other.den
+            g = gcd(n, d)
+            return Cyclotomic._raw(1, (n // g,), d // g)
         # an operand equal to 1 (num (1,) over den 1) returns the other one
         if self.num == (1,) and self.den == 1:
             return other
@@ -358,6 +364,9 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic inverse of zero")
         n, a = self.order, self.num
+        if n == 1:
+            # a rational: den / num is in lowest terms already
+            return Cyclotomic._raw(1, (self.den if a[0] > 0 else -self.den,), abs(a[0]))
         others = [1]
         for j in range(2, n):
             if gcd(j, n) == 1:
@@ -458,10 +467,6 @@ def mono_mul(a, b):
 def mono_key(m):
     """Graded-lex key; the *smallest* key is the leading monomial."""
     return (-sum(e for _, e in m), tuple((s, -e) for s, e in m))
-
-
-def poly_const(c: Cyclotomic) -> dict:
-    return {} if c.is_zero() else {(): c}
 
 
 def poly_add(a: dict, b: dict, sign: int = 1) -> dict:
@@ -746,13 +751,8 @@ def _iroot(n: int, k: int) -> int:
 # Scalar: rational function x radical monomial
 # ---------------------------------------------------------------------------
 
-def _rad_canon(rad):
-    out = []
-    for base, e in rad:
-        e %= 1
-        if e:
-            out.append((base, e))
-    return tuple(sorted(out))
+# the denominator of a scalar with no symbol in it
+_ONE_DEN = (((), ONE_C),)
 
 
 @dataclass(frozen=True)
@@ -761,7 +761,10 @@ class Scalar:
 
     The radical part carries the fractional exponents; integer parts are
     folded into num/den at construction time.  Addition is only defined
-    between scalars with identical radical parts.
+    between scalars with identical radical parts.  A scalar of one term
+    over one term is a monomial; products, quotients, powers and roots of
+    monomials are built from their exponents by ``_monomial``, with no
+    polynomial arithmetic.
     """
 
     num: tuple
@@ -775,22 +778,15 @@ class Scalar:
 
     @staticmethod
     def make(num: dict, den: dict, rad=()) -> "Scalar":
+        """The canonical form of num / den times the radical rad, of which
+        only the fractional part of each exponent is kept."""
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
-            return Scalar(Scalar._pack({}), Scalar._pack({(): ONE_C}), ())
+            return ZERO
+        rad = [(b, e % 1) for b, e in rad]
         if len(num) == 1 and len(den) == 1:
-            # one term over one term: the gcd is the monomial of the common
-            # symbol exponents, and den's coefficient moves to num
-            (mn, cn), = num.items()
-            (md, cd), = den.items()
-            dn = dict(mn)
-            g = tuple((s, min(e, dn[s])) for s, e in md if s in dn)
-            if g:
-                mn, md = _mono_div(mn, g), _mono_div(md, g)
-            if cd != ONE_C:
-                cn = cn * cd.inverse()
-            return Scalar(((mn, cn),), ((md, ONE_C),), _rad_canon(rad))
+            return _quotient(num, den, rad)
         g = poly_gcd(num, den)
         if not (len(g) == 1 and () in g and g[()] == ONE_C):
             num = poly_divexact(num, g)
@@ -800,24 +796,24 @@ class Scalar:
             inv = lc.inverse()
             num = poly_scale(num, inv)
             den = poly_scale(den, inv)
-        return Scalar(Scalar._pack(num), Scalar._pack(den), _rad_canon(rad))
+        return Scalar(Scalar._pack(num), Scalar._pack(den), _rad_merge(rad)[0])
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_cyclotomic(c: Cyclotomic) -> "Scalar":
-        return Scalar.make(poly_const(c), poly_const(ONE_C))
+        return ZERO if c.is_zero() else Scalar((((), c),), _ONE_DEN)
 
     @staticmethod
     def rational(q) -> "Scalar":
-        return Scalar.from_cyclotomic(Cyclotomic.from_rational(Fraction(q)))
+        return Scalar.from_cyclotomic(Cyclotomic.from_rational(q))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Scalar":
-        return Scalar.from_cyclotomic(Cyclotomic.zeta(n, k))
+        return Scalar((((), Cyclotomic.zeta(n, k)),), _ONE_DEN)
 
     @staticmethod
     def sym(name: str) -> "Scalar":
-        return Scalar.make({((name, 1),): ONE_C}, poly_const(ONE_C))
+        return Scalar(((((name, 1),), ONE_C),), _ONE_DEN)
 
     # -- views -------------------------------------------------------------
     def numd(self) -> dict:
@@ -857,12 +853,13 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        num = poly_mul(self.numd(), other.numd())
-        den = poly_mul(self.dend(), other.dend())
-        if not (self.rad or other.rad):
-            return Scalar.make(num, den)
-        rad, carry_num, carry_den = _rad_merge(self.rad, other.rad)
-        return Scalar.make(poly_mul(num, carry_num), poly_mul(den, carry_den), rad)
+        if len(self.num) == len(self.den) == len(other.num) == len(other.den) == 1:
+            ((m1, c1),), ((d1, _),) = self.num, self.den
+            ((m2, c2),), ((d2, _),) = other.num, other.den
+            return _monomial(((m1, 1), (d1, -1), (m2, 1), (d2, -1)), c1 * c2,
+                             self.rad + other.rad)
+        return _quotient(poly_mul(self.numd(), other.numd()),
+                         poly_mul(self.dend(), other.dend()), self.rad + other.rad)
 
     def times_unit(self, n: int, k: int) -> "Scalar":
         """self * zeta_n^k, without the gcd of ``make``: a unit leaves num
@@ -875,21 +872,15 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        rad, cn, cd = _rad_merge(tuple((b, -e) for b, e in other.rad), ())
-        return self * Scalar.make(poly_mul(other.dend(), cn), poly_mul(other.numd(), cd), rad)
+        return self * _quotient(other.dend(), other.numd(), tuple((b, -e) for b, e in other.rad))
 
     def __pow__(self, n: int) -> "Scalar":
-        if n and len(self.num) == 1 and len(self.den) == 1:
-            # one term over one term (den's coefficient is 1): multiply the
-            # exponents by |n|, the coefficient by itself, and merge once
-            ((mn, cn),), ((md, _),) = self.num, self.den
-            k = abs(n)
-            top = {tuple((s, e * k) for s, e in mn): _power(cn, k, ONE_C)}
-            bottom = {tuple((s, e * k) for s, e in md): ONE_C}
-            if n < 0:
-                top, bottom = bottom, top
-            rad, carry_num, carry_den = _rad_merge(tuple((b, e * n) for b, e in self.rad), ())
-            return Scalar.make(poly_mul(top, carry_num), poly_mul(bottom, carry_den), rad)
+        if len(self.num) == 1 and len(self.den) == 1:
+            # a monomial: its exponents times n, its coefficient to the |n|
+            ((m, c),), ((d, _),) = self.num, self.den
+            c = _power(c, abs(n), ONE_C)
+            return _monomial(((m, n), (d, -n)), c if n >= 0 else c.inverse(),
+                             tuple((b, e * n) for b, e in self.rad))
         if n < 0:
             return ONE / (self ** (-n))
         return _power(self, n, ONE)
@@ -901,14 +892,10 @@ class Scalar:
             raise ValueError("root index must be >= 1")
         if p == 1 or self.is_zero():
             return self
-        num, den = self.numd(), self.dend()
-        rad = [(b, e / p) for b, e in self.rad]
-        npart, nrad = _poly_radical_root(num, p)
-        dpart, drad = _poly_radical_root(den, p)
-        rad += nrad
-        rad += [(b, -e) for b, e in drad]
-        rad2, cn, cd = _rad_merge(tuple(rad), ())
-        out = Scalar.make(poly_mul(npart, cn), poly_mul(dpart, cd), rad2)
+        npart, nrad = _poly_radical_root(self.numd(), p)
+        dpart, drad = _poly_radical_root(self.dend(), p)
+        out = _quotient(npart, dpart, [(b, e / p) for b, e in self.rad] + nrad
+                        + [(b, -e) for b, e in drad])
         check = out ** p
         if check != self:
             raise IrrationalRootError(f"{render_scalar(self)} has no canonical {p}-th root (got {render_scalar(check)})")
@@ -923,32 +910,59 @@ class Scalar:
         return f"Scalar({render_scalar(self)})"
 
 
-def _rad_merge(r1, r2):
-    """Merge radical exponent lists; returns (canonical radical, carry-num
-    poly, carry-den poly) where carries absorb integer exponent parts."""
+def _monomial(parts, coef: Cyclotomic, rad=()) -> Scalar:
+    """The canonical form of coef * prod(mono^k) * prod(base^x) over (mono,
+    k) in parts and (base, x) in rad: coef is a nonzero Cyclotomic, k an
+    int of either sign, x a Fraction, and a base may come more than once.
+    The integer part of the summed exponent of a base moves into the
+    symbol exponents, or into coef for a prime; then the positive symbol
+    exponents make num and the negative ones den, with coefficient 1."""
+    rad, carries = _rad_merge(rad) if rad else ((), ())
+    exps: dict = {}
+    for (kind, key), k in carries:
+        if kind == "sym":
+            exps[key] = k
+        else:
+            coef = coef * Cyclotomic.from_rational(Fraction(key) ** k)
+    for mono, k in parts:
+        for s, e in mono:
+            exps[s] = exps.get(s, 0) + e * k
+    exps = sorted(exps.items())
+    return Scalar(((tuple((s, e) for s, e in exps if e > 0), coef),),
+                  ((tuple((s, -e) for s, e in exps if e < 0), ONE_C),), rad)
+
+
+def _quotient(num: dict, den: dict, rad) -> Scalar:
+    """The canonical form of num / den times the radical rad, (base,
+    Fraction) pairs summed per base, whose integer parts are carried into
+    num and den.  One term over one term is a monomial."""
+    if len(num) == 1 and len(den) == 1:
+        (mn, cn), = num.items()
+        (md, cd), = den.items()
+        return _monomial(((mn, 1), (md, -1)), cn * cd.inverse(), rad)
+    if not rad:
+        return Scalar.make(num, den)
+    carry = _monomial((), ONE_C, rad)
+    return Scalar.make(poly_mul(num, carry.numd()), poly_mul(den, carry.dend()), carry.rad)
+
+
+def _rad_merge(pairs):
+    """Sum the exponents of the radical pairs (base, Fraction) per base.
+    Returns the canonical radical, sorted by base with every exponent in
+    (0, 1), and the (base, int) carries of the integer parts, none when
+    every sum stays in [0, 1)."""
     tot: dict = {}
-    for b, e in list(r1) + list(r2):
-        tot[b] = tot.get(b, Fraction(0)) + e
-    rad = []
-    cnum: dict = {(): ONE_C}
-    cden: dict = {(): ONE_C}
+    for b, e in pairs:
+        tot[b] = tot[b] + e if b in tot else e
+    rad, carries = [], []
     for b, e in sorted(tot.items()):
-        fl = e.numerator // e.denominator  # floor
-        frac = e - fl
-        if frac:
-            rad.append((b, frac))
+        fl = e.numerator // e.denominator
         if fl:
-            kind, key = b
-            if kind == "sym":
-                mono = ((key, abs(fl)),)
-                if fl > 0:
-                    cnum = poly_mul(cnum, {mono: ONE_C})
-                else:
-                    cden = poly_mul(cden, {mono: ONE_C})
-            else:
-                q = Fraction(key) ** fl
-                cnum = poly_scale(cnum, Cyclotomic.from_rational(q))
-    return tuple(rad), cnum, cden
+            carries.append((b, fl))
+            e -= fl
+        if e:
+            rad.append((b, e))
+    return tuple(rad), carries
 
 
 def _poly_radical_root(a: dict, p: int):
@@ -1058,8 +1072,8 @@ def _factor(n: int) -> dict:
         f"a provable prime power")
 
 
-ZERO = Scalar.make({}, poly_const(ONE_C))
-ONE = Scalar.make(poly_const(ONE_C), poly_const(ONE_C))
+ZERO = Scalar((), _ONE_DEN)
+ONE = Scalar((((), ONE_C),), _ONE_DEN)
 
 
 # ---------------------------------------------------------------------------

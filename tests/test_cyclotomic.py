@@ -84,6 +84,18 @@ def test_arithmetic_agrees(drawn):
         same(a / b, ra / rb)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+                min_size=2, max_size=2))
+def test_rational_product_and_inverse_agree(qs):
+    # order 1 times order 1 is integer arithmetic with one gcd
+    (a, ra), (b, rb) = (both(1, [q]) for q in qs)
+    same(a * b, ra * rb)
+    if qs[1]:
+        same(b.inverse(), rb.inverse())
+        same(a / b, ra / rb)
+
+
 @settings(max_examples=50, deadline=None)
 @given(field(1), st.integers(1, 48))
 def test_galois_and_rendering_agree(drawn, j):

@@ -364,6 +364,50 @@ class TestContradictionReports:
             "(needs rank >= 2)")
 
 
+def _fields(exc):
+    return exc.step, exc.op, exc.location, exc.needed, exc.available
+
+
+class TestContradictionFields:
+    """The facts of each report as data; run_script adds the step."""
+
+    R3 = ConnectionDescriptor.make({
+        S("0"): reg("(-E4, E3)"), S("1"): reg("(J(2), J(2), E3)"),
+        INF: FT("El(2, a, (E2)) + (E3)")}, 7)
+
+    @pytest.mark.parametrize("zero", ["(-J(3), J(3), -1)", "(iJ(2), -1*iJ(2), -E2, 1)"])
+    def test_exclusion_fields(self, zero):
+        c0_16_9_9 = op_twist(ConnectionDescriptor.make({
+            S("0"): reg(zero), INF: FT("El(2, a, (-E2)) + (-E2, 1)")}, 7),
+            {S("0"): E("-1"), INF: E("-1")})
+        for c, needed, available in ((self.R3, 8, 6), (c0_16_9_9, 7, 5)):
+            with pytest.raises(ContradictionError) as exc:
+                op_fourier(c)
+            assert _fields(exc.value) == (None, "fourier", S("0"), needed, available)
+            with pytest.raises(ContradictionError) as exc:
+                run_script(c, "twist inf:1\nfourier")
+            assert _fields(exc.value) == (2, "fourier", S("0"), needed, available)
+            assert exc.value.report.startswith("step 2 (fourier): rank mismatch")
+
+    def test_middle_convolution_fields(self):
+        kummer = ConnectionDescriptor.make({S("0"): reg("(m)"), INF: reg("(m^-1)")}, 1)
+        with pytest.raises(ContradictionError) as exc:
+            op_middle_convolution(kummer, E("m^-1"))
+        assert exc.value.report == "middle convolution rank dropped to 0"
+        assert _fields(exc.value) == (None, "mc", None, 1, 0)
+        a = S("a")
+        c = ConnectionDescriptor.make({
+            S("0"): reg("(J(2), J(2), E3)"),
+            INF: FT("El(1, a, (l E2)) + El(1, -a, (l^-1 E2)) + "
+                    "El(1, 2*a, (m)) + El(1, -2*a, (m^-1)) + (1)")}, 7)
+        tw = op_twist(op_fourier(c), {
+            S("0"): E("1"), a: E("l^-1"), S("-a"): E("l"), S("2*a"): E("1"),
+            S("-2*a"): E("m"), INF: E("m^-1")})
+        with pytest.raises(ContradictionError) as exc:
+            op_middle_convolution(tw, E("m^-1"))
+        assert _fields(exc.value) == (None, "mc", S("-2*a"), 2, 1)
+
+
 # -- laws on random descriptors -------------------------------------------------
 
 _EIGS = ["1", "-1", "i", "-i", "zeta(3)", "m", "m^-1", "l"]

@@ -71,6 +71,10 @@ DESCRIPTORS = {
     # phi keys "1" and "0" are pole orders -1 and 0: not tail terms
     "phi_pole_order_negative": _e2_with(E2_EL + ("phi",), {"1": "a1"}),
     "phi_pole_order_zero": _e2_with(E2_EL + ("phi",), {"0": "a1"}),
+    # a zero divisor as a location, a tail coefficient and a cover coefficient
+    "location_over_zero": _l1_with("a1/0", {"regular": [["-l", 1]], "irregular": []}),
+    "tail_zero_to_a_negative_power": _e2_with(E2_EL + ("phi",), {"-1": "0^-1"}),
+    "cover_zero_monomial_to_a_negative_power": _e2_with(E2_EL + ("c",), "(0*a1)^-2"),
 }
 
 
@@ -227,6 +231,14 @@ def test_same_point_names_both_keys(files, capsys):
     main(["check", str(files["same_point_twice"])])
     err = capsys.readouterr().err
     assert "'a1*a1'" in err and "'a1^2'" in err
+
+
+@pytest.mark.parametrize("name", ["location_over_zero", "tail_zero_to_a_negative_power",
+                                  "cover_zero_monomial_to_a_negative_power"])
+def test_division_by_zero_names_the_file(name, files, capsys):
+    assert main(["check", str(files[name])]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed descriptor in {files[name]}: scalar division by zero\n")
 
 
 @pytest.mark.parametrize("p", [0, -2])

@@ -1,15 +1,16 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import katz_forge.scalars as scalars
-from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue, ONE,
+from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue, ONE, ZERO,
                                 IrrationalRootError, IrrationalSumError, OutOfScopeError,
                                 parse_scalar, render_scalar,
                                 parse_eigenvalue, render_eigenvalue,
                                 mono_key, poly_divexact, poly_gcd,
-                                poly_leading, poly_scale)
+                                poly_leading, poly_mul, poly_scale)
 
 A1, A2 = Scalar.sym("a1"), Scalar.sym("a2")
 HALF = Scalar.rational(Fraction(1, 2))
@@ -70,6 +71,11 @@ class TestScalarField:
     def test_arith_commutes_and_cancels(self):
         assert A1 * A2 == A2 * A1
         assert (A1 - A1).is_zero()
+
+    def test_zero_is_one_value(self):
+        zeros = [Scalar.rational(0), parse_scalar("0*a"), ZERO, Scalar.from_cyclotomic(
+            Cyclotomic.from_rational(0)), A1 * Scalar.rational(0)]
+        assert all(z == ZERO and hash(z) == hash(ZERO) for z in zeros)
 
 
 class TestScalarRoot:
@@ -292,13 +298,72 @@ def _same(x, y):
     assert hash(x) == hash(y)
 
 
+def _carried_make(num, den, rad):
+    """num / den times prod(base^x) over (base, x) in rad by polynomials: the
+    floor of each base's summed exponent multiplies num or den, as a
+    symbol power or a rational, and then _general_make."""
+    sums = {}
+    for b, x in rad:
+        sums[b] = sums.get(b, 0) + x
+    for (kind, key), x in sums.items():
+        if kind == "prime":
+            num = poly_scale(num, Cyclotomic.from_rational(Fraction(key) ** floor(x)))
+        elif x >= 1:
+            num = poly_mul(num, {((key, floor(x)),): Cyclotomic.from_rational(1)})
+        elif x < 0:
+            den = poly_mul(den, {((key, -floor(x)),): Cyclotomic.from_rational(1)})
+    return _general_make(num, den, [(b, x - floor(x)) for b, x in sums.items()])
+
+
+def _poly_power(a, n):
+    out = {(): Cyclotomic.from_rational(1)}
+    for _ in range(n):
+        out = poly_mul(out, a)
+    return out
+
+
+_D = Scalar.sym("d")
+# times (1 + d) a monomial has two terms, so the operators take the route of
+# any polynomial: poly_mul, then poly_gcd in make
+_L = ONE + _D
+
+
 @settings(max_examples=150, deadline=None)
 @given(_monomial_scalar(_cyclotomic), st.integers(-6, 8))
 def test_monomial_power_matches_repeated_squaring(x, n):
     _same(x ** n, _squaring(x, n))
+    _same(x ** n, (x * _L) ** n / _L ** n)
+    num, den = _poly_power(x.numd(), abs(n)), _poly_power(x.dend(), abs(n))
+    _same(x ** n, _carried_make(*((num, den) if n >= 0 else (den, num)),
+                                [(b, e * n) for b, e in x.rad]))
 
 
-_D = Scalar.sym("d")
+# coefficients in Q(zeta_24), so that products stay in a field of degree 8
+_cyclotomic_24 = _cyclotomic.filter(lambda c: 24 % c.order == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_scalar(_cyclotomic_24), _monomial_scalar(_cyclotomic_24))
+def test_monomial_product_and_quotient_match_the_polynomial_route(x, y):
+    _same(x * y, x * _L * y / _L)
+    _same(x / y, x / (y * _L) * _L)
+    _same(x * y, _carried_make(poly_mul(x.numd(), y.numd()), poly_mul(x.dend(), y.dend()),
+                               x.rad + y.rad))
+    _same(x / y, _carried_make(poly_mul(x.numd(), y.dend()), poly_mul(x.dend(), y.numd()),
+                               x.rad + tuple((b, -e) for b, e in y.rad)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from([("sym", "a"), ("sym", "c"), ("prime", 2), ("prime", 3)]),
+    st.builds(Fraction, st.integers(-13, 13), st.integers(1, 6))), max_size=6))
+def test_rad_merge_splits_each_sum_into_floor_and_fraction(pairs):
+    sums = {}
+    for b, x in pairs:
+        sums[b] = sums.get(b, 0) + x
+    rad, carries = scalars._rad_merge(pairs)
+    assert rad == tuple((b, x - floor(x)) for b, x in sorted(sums.items()) if x != floor(x))
+    assert carries == [(b, floor(x)) for b, x in sorted(sums.items()) if floor(x)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -345,3 +410,16 @@ def test_monomial_root_divides_no_polynomial(monkeypatch):
     # every root checks itself: one power per root, each of a monomial
     assert calls["__pow__"] == len(roots)
     assert all(len(r.num) == 1 and len(r.den) == 1 for r in roots)
+
+
+def test_monomial_arithmetic_builds_no_polynomial(monkeypatch):
+    xs = [R(4) * A1 ** 3 / A2 ** 2, R(Fraction(-27, 8)) * A1 / A2 ** 5, Scalar.zeta(12, 5),
+          parse_scalar("2^(1/3)*a1^(1/2)/a2"), parse_scalar("3^(2/3)/a1^(1/2)")]
+    for name in ("poly_mul", "poly_gcd", "poly_scale"):
+        monkeypatch.setattr(scalars, name, None)
+    monkeypatch.setattr(Scalar, "make", None)
+    for x in xs:
+        for y in xs:
+            x * y, x / y
+        for n in (-3, -1, 0, 2, 5):
+            x ** n
