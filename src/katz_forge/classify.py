@@ -28,7 +28,7 @@ from .scalars import Scalar, Eigenvalue, ONE
 from .jordan import JordanData, parse_jordan
 from .elementary import ElementaryModule, El
 from .formal_type import FormalType, parse_formal_type
-from .engine import ConnectionDescriptor, INF, rigidity_from_ends, euler_char_middle
+from .engine import ConnectionDescriptor, INF, euler_char, euler_char_middle
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +384,23 @@ EXCLUDED_ROW = ("excluded", "(zeta(3)E3, zeta(3)^2E3, 1)", E2_INF)
 _LAMBDA3_ROWS = {"e1_1", "e1_2", "e1_3", "e2", "e3"}
 
 
+# name -> (monodromy at 0, formal type at infinity) of every row above
+_ROWS = {n: (z, i) for n, z, i in CLASSIFICATION_ROWS + (EXCLUDED_ROW,)}
+
+
+def _row(name: str) -> tuple:
+    if name not in _ROWS:
+        raise ValueError(f"unknown classification row {name!r}; the rows are {', '.join(_ROWS)}")
+    return _ROWS[name]
+
+
 def classification_descriptor(name: str):
     return _descriptor(name, {})
 
 
 def _descriptor(name: str, found: dict):
     """The row's descriptor, each text of it parsed once per call."""
-    rows = dict((n, (z, i)) for n, z, i in CLASSIFICATION_ROWS + (EXCLUDED_ROW,))
-    z, i = rows[name]
+    z, i = _row(name)
     return ConnectionDescriptor.make(
         {Scalar.rational(0): _once(found, _regular_type, z),
          "inf": _once(found, parse_formal_type, i)}, 7)
@@ -403,7 +412,7 @@ def _regular_type(text: str) -> FormalType:
 
 def adjoint_dim_at_zero(name: str) -> int:
     """dim of the invariants on g2 of the monodromy J at 0: Lambda^2 V7 = g2 + V7."""
-    j = parse_jordan(next(z for n, z, _ in CLASSIFICATION_ROWS + (EXCLUDED_ROW,) if n == name))
+    j = parse_jordan(_row(name)[0])
     return j.exterior(2).invariants_dim() - j.invariants_dim()
 
 
@@ -421,7 +430,7 @@ def _verify_row(name: str, found: dict) -> dict:
     inf_ft = c.inf_type()
     checks = {}
     ends = [_once(found, FormalType.end, ft) for _, ft in c.points]
-    checks["rig"] = rigidity_from_ends(c.rank, ends)
+    checks["rig"] = euler_char(c.rank * c.rank, ends)
     checks["rig_ok"] = checks["rig"] == 2
     ck0, cki = (_once(found, FormalType.checks, ft) for ft in (zero_ft, inf_ft))
     checks["self_dual"] = ck0["self_dual"] and cki["self_dual"]
@@ -452,8 +461,7 @@ def verify_classification() -> dict:
     of End, checks, torus dimension, pattern and the counts of Lambda^3 per
     distinct point type."""
     found: dict = {}
-    names = [n for n, _, _ in CLASSIFICATION_ROWS] + ["excluded"]
-    report = {name: _verify_row(name, found) for name in names}
+    report = {name: _verify_row(name, found) for name in _ROWS}
     report["ok"] = (all(report[n]["pass"] for n, _, _ in CLASSIFICATION_ROWS)
                     and not report["excluded"]["pass"])
     return report

@@ -15,8 +15,8 @@ import sys
 from .scalars import OutOfScopeError
 from .formal_type import render_formal_type
 from .engine import (ConnectionDescriptor, ContradictionError,
-                     descriptor_from_json, descriptor_to_json, parse_script, parse_step,
-                     render_location, rigidity_from_ends, run_script)
+                     descriptor_from_json, descriptor_to_json, euler_char, parse_script,
+                     parse_step, render_location, run_script)
 from . import classify
 
 
@@ -79,7 +79,7 @@ def _check_report(c: ConnectionDescriptor) -> dict:
     return {
         "rank": c.rank,
         "points": points,
-        "rig": rigidity_from_ends(c.rank, ends),
+        "rig": euler_char(c.rank * c.rank, ends),
         "self_dual": all(ch["self_dual"] for ch in checks),
         "det_trivial": all(ch["det_trivial"] for ch in checks),
         "torus_dim": inf_ft.exponential_torus_dim(),

@@ -31,11 +31,12 @@ from math import gcd, lcm
 
 from .scalars import (Scalar, Eigenvalue, ZERO, ONE, SCALAR, IrrationalSumError,
                       render_scalar, parse_expression, split_top)
-from .jordan import JordanData, render_jordan, parse_jordan
+from .jordan import JordanData, render_jordan, parse_jordan, require_int
 
 
 def _tail_pack(tail: dict) -> tuple:
-    return tuple(sorted((int(j), a) for j, a in tail.items() if not a.is_zero()))
+    return tuple(sorted((require_int(j, "pole order"), a) for j, a in tail.items()
+                        if not a.is_zero()))
 
 
 def _pos_key(s: Scalar):
@@ -60,20 +61,20 @@ class ElementaryModule:
     @staticmethod
     def make(p: int, tail, r: JordanData, c: Scalar = ONE) -> "ElementaryModule":
         """The module on the cover c*u^p, with c substituted away."""
-        if p < 1:
+        if require_int(p, "p") < 1:
             raise ValueError(f"ramification order p must be at least 1, got {p}")
         if c.is_zero():
             raise ValueError("ramification coefficient must be nonzero")
-        if c != ONE:
-            g = c.root(p)
-            tail = {j: a * g ** j for j, a in dict(tail).items()}
         if isinstance(tail, dict):
             tail = _tail_pack(tail)
+        if c != ONE:
+            g = c.root(p)
+            tail = tuple((j, a * g ** j) for j, a in tail)
         if tail and tail[0][0] < 1:
             raise ValueError(f"pole order must be at least 1, got {tail[0][0]}")
         if not r.rank():
             raise ValueError("elementary module needs a regular part R of rank >= 1")
-        return ElementaryModule(int(p), tail, r)
+        return ElementaryModule(p, tail, r)
 
     def taild(self) -> dict:
         return dict(self.tail)
@@ -152,12 +153,10 @@ class ElementaryModule:
 
     def det(self) -> "DetData":
         p, rk = self.p, self.r.rank()
-        tail = {}
-        for j, a in self.tail:
-            if j % p == 0:
-                tail[j // p] = tail.get(j // p, ZERO) + a * Scalar.rational(p * rk)
+        # distinct pole orders j give distinct j / p: nothing to sum
+        tail = tuple((j // p, a * Scalar.rational(p * rk)) for j, a in self.tail if j % p == 0)
         eig = self.r.det() * Eigenvalue.make(Fraction((p - 1) * rk, 2))
-        return DetData(_tail_pack(tail), eig)
+        return DetData(tail, eig)
 
     def iso_eq(self, other: "ElementaryModule") -> bool:
         return self.normalize() == other.normalize()

@@ -15,9 +15,9 @@ from typing import Callable
 
 from .scalars import (Scalar, Eigenvalue, ZERO, ONE, OutOfScopeError, render_scalar,
                       parse_scalar, parse_eigenvalue)
-from .jordan import JordanData
+from .jordan import JordanData, require_int
 from .elementary import ElementaryModule
-from .formal_type import (FormalType, formal_type_to_json, formal_type_from_json, json_int,
+from .formal_type import (FormalType, formal_type_to_json, formal_type_from_json,
                           render_formal_type)
 from .fourier import (vanishing_data, nearby_from_vanishing,
                       lft_shifted, lft_inf_to_s, epsilon_twist_inf)
@@ -29,9 +29,8 @@ class ContradictionError(RuntimeError):
     """A transport step produced structurally impossible data; the report
     carries the reason (these reports are how non-existence is proved).
     The fields hold the same facts as data, each None where it does not
-    apply: the script step (from 1) and the op that raised, the location
-    (a Scalar or INF) and the rank the data there needs against the rank
-    available."""
+    apply: the script step (from 1) and the op that raised, the finite
+    location and the rank the data there needs against the rank available."""
 
     def __init__(self, report: str, step=None, op=None, location=None, needed=None,
                  available=None):
@@ -59,7 +58,7 @@ class ConnectionDescriptor:
         locs = [l for l, _ in items]
         if len(set(locs)) != len(locs):
             raise ValueError("duplicate singular locations")
-        return ConnectionDescriptor(int(rank), tuple(items))
+        return ConnectionDescriptor(require_int(rank, "rank"), tuple(items))
 
     def point(self, loc) -> FormalType:
         for l, ft in self.points:
@@ -102,17 +101,15 @@ def parse_location(text: str):
 # -- invariants ---------------------------------------------------------------
 
 def rigidity_index(c: ConnectionDescriptor) -> int:
-    return rigidity_from_ends(c.rank, [ft.end() for _, ft in c.points])
+    """chi of End, of rank rank^2, from the counts of End at each point."""
+    return euler_char(c.rank * c.rank, [ft.end() for _, ft in c.points])
 
 
-def rigidity_from_ends(rank: int, ends) -> int:
-    """(2 - r) rank^2 + sum over the r singular points of
-    dim Soln(End) - irr(End), given the Counts of End of the formal type at
-    each point (``FormalType.end``)."""
-    out = (2 - len(ends)) * rank * rank
-    for end in ends:
-        out += end.soln_dim() - end.irregularity()
-    return out
+def euler_char(rank: int, members) -> int:
+    """chi of the middle extension of a system of generic rank `rank` with
+    the local data `members` (formal types or Counts) at its r singular
+    points: (2 - r) rank + the sum of dim Soln - irr."""
+    return (2 - len(members)) * rank + sum(m.soln_dim() - m.irregularity() for m in members)
 
 
 def euler_char_middle(c: ConnectionDescriptor, family: dict) -> int:
@@ -122,16 +119,10 @@ def euler_char_middle(c: ConnectionDescriptor, family: dict) -> int:
     if not family or set(family) != set(locs):
         raise ValueError("euler_char_middle needs a family given at exactly the singular "
                          f"locations {', '.join(map(render_location, locs))}")
-    rank = None
-    out = 0
-    for ft in family.values():
-        if rank is None:
-            rank = ft.rank()
-        if ft.rank() != rank:
-            raise ValueError(f"family members must share a rank, got {rank} and {ft.rank()}")
-        out -= ft.irregularity()
-        out += ft.soln_dim()
-    return (2 - len(locs)) * rank + out
+    rank, *other = sorted({ft.rank() for ft in family.values()})
+    if other:
+        raise ValueError(f"family members must share a rank, got {rank} and {other[0]}")
+    return euler_char(rank, list(family.values()))
 
 
 # -- operations ----------------------------------------------------------------
@@ -221,13 +212,9 @@ def stationary_phase(c: ConnectionDescriptor) -> FormalType:
 
 
 def op_fourier(c: ConnectionDescriptor) -> ConnectionDescriptor:
-    h_new = fourier_rank(c)
+    # the rank lemma: the generic rank is the rank of the type at infinity
     new_inf = stationary_phase(c)
-    if new_inf.rank() != h_new:
-        raise ContradictionError(
-            f"rank mismatch: transform has generic rank {h_new} but the "
-            f"assembled infinity type has rank {new_inf.rank()}",
-            op="fourier", location=INF, needed=new_inf.rank(), available=h_new)
+    h_new = new_inf.rank()
     # finite points of the transform from the pieces at infinity of the
     # source; slope-(<1) pieces carry the z -> -z deck twist, so that on
     # descriptors singular only at 0 and infinity with slopes < 1 there,
@@ -394,7 +381,7 @@ def descriptor_to_json(c: ConnectionDescriptor) -> dict:
 
 
 def descriptor_from_json(d: dict) -> ConnectionDescriptor:
-    rank = json_int(d["rank"], "rank")
+    rank = require_int(d["rank"], "rank")
     pts, keys = {}, {}
     for loc_s, ft_d in d["points"].items():
         loc = parse_location(loc_s)

@@ -322,21 +322,13 @@ def formal_type_to_json(ft: FormalType) -> dict:
     }
 
 
-def json_int(x, what: str) -> int:
-    """x if it is a JSON integer (not a bool), else ValueError: no truncation."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def formal_type_from_json(d: dict) -> FormalType:
-    reg = JordanData.make([(parse_eigenvalue(e), json_int(s, "block size"))
-                           for e, s in d.get("regular", [])])
+    reg = JordanData.make([(parse_eigenvalue(e), s) for e, s in d.get("regular", [])])
     els = []
     for ed in d.get("irregular", []):
         tail = {-int(j): parse_scalar(a) for j, a in ed.get("phi", {}).items()}
-        r = JordanData.make([(parse_eigenvalue(e), json_int(s, "block size")) for e, s in ed["R"]])
-        els.append(ElementaryModule.make(json_int(ed["p"], "p"), tail, r,
+        r = JordanData.make([(parse_eigenvalue(e), s) for e, s in ed["R"]])
+        els.append(ElementaryModule.make(ed["p"], tail, r,
                                          parse_scalar(ed.get("c", "1"))))
     return FormalType.make(reg, els)
 

@@ -16,6 +16,13 @@ from math import lcm
 from .scalars import Eigenvalue, parse_eigenvalue, render_eigenvalue, split_top
 
 
+def require_int(x, what: str) -> int:
+    """x if it is an int (not a bool), else ValueError: no truncation."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class JordanData:
     blocks: tuple  # ((Eigenvalue, size), ...) canonically sorted
@@ -23,7 +30,7 @@ class JordanData:
     @staticmethod
     def make(blocks) -> "JordanData":
         # the order of (e.sort_key(), -size), torsion k/n read as k * (L // n)
-        bl = [(e, int(s)) for e, s in blocks]
+        bl = [(e, require_int(s, "block size")) for e, s in blocks]
         L = lcm(*(e.n for e, _ in bl))
         bl = tuple(sorted(bl, key=lambda t: (t[0].word, t[0].k * (L // t[0].n), -t[1])))
         for _, s in bl:

@@ -19,6 +19,7 @@ structural and decidable.  No floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -583,20 +584,16 @@ def poly_gcd(a: dict, b: dict) -> dict:
     if not b:
         return _monic(a)
     if len(a) == 1 or len(b) == 1:
-        ga = _mono_gcd_all(a)
-        gb = _mono_gcd_all(b)
-        g = {}
-        da, db = dict(ga), dict(gb)
-        for s in set(da) & set(db):
-            g[s] = min(da[s], db[s])
-        return {tuple(sorted(g.items())): ONE_C}
+        # a monomial divides a polynomial iff it divides every term
+        return {_mono_gcd_all([*a, *b]): ONE_C}
     vs = sorted(poly_vars(a) | poly_vars(b))
     if not vs:
         return {(): ONE_C}
     return _monic(_gcd_rec(a, b, vs))
 
 
-def _mono_gcd_all(a: dict):
+def _mono_gcd_all(a):
+    """The gcd of the monomials a (a poly's terms, or any iterable of them)."""
     its = iter(a)
     g = dict(next(its))
     for m in its:
@@ -646,24 +643,26 @@ def _content(u: dict, vs) -> dict:
     return _monic(g)
 
 
+def _deg(u: dict) -> int:
+    """Degree of a univariate poly {degree: coefficient}; -1 for zero."""
+    return max(u) if u else -1
+
+
 def _univ_gcd(a: dict, b: dict, vs) -> dict:
     """Primitive PRS on univariate polys with poly coefficients."""
-    def deg(u):
-        return max(u) if u else -1
-
     def prim(u):
         if not u:
             return u
         c = _content(u, vs) if vs else {(): ONE_C}
         if vs:
             u = {d: poly_divexact(p, c) for d, p in u.items()}
-        lc = u[deg(u)]
+        lc = u[_deg(u)]
         if len(lc) == 1 and () in lc:
             u = {d: poly_scale(p, lc[()].inverse()) for d, p in u.items()}
         return u
 
     a, b = prim(a), prim(b)
-    if deg(a) < deg(b):
+    if _deg(a) < _deg(b):
         a, b = b, a
     while b:
         r = _pseudo_rem(a, b)
@@ -672,14 +671,11 @@ def _univ_gcd(a: dict, b: dict, vs) -> dict:
 
 
 def _pseudo_rem(a: dict, b: dict) -> dict:
-    def deg(u):
-        return max(u) if u else -1
-
-    da, db = deg(a), deg(b)
+    db = _deg(b)
     lb = b[db]
     r = {d: dict(p) for d, p in a.items()}
-    while r and deg(r) >= db:
-        dr = deg(r)
+    while r and _deg(r) >= db:
+        dr = _deg(r)
         lr = r[dr]
         # r = lb*r - lr*x^(dr-db)*b
         new: dict = {}
@@ -704,7 +700,7 @@ def poly_root(a: dict, p: int) -> dict:
     denom_m = tuple((s, e * (p - 1)) for s, e in lg_m)
     denom_ci = Cyclotomic.from_rational(Fraction(1, p))
     for _ in range(len(a) * p * 4 + 8):
-        diff = poly_add(a, _poly_pow_full(g, p), -1)
+        diff = poly_add(a, _power(g, p, {(): ONE_C}, poly_mul), -1)
         if not diff:
             return g
         m, c = poly_leading(diff)
@@ -715,22 +711,15 @@ def poly_root(a: dict, p: int) -> dict:
     raise IrrationalRootError("polynomial root iteration did not converge")
 
 
-def _poly_pow_full(a: dict, n: int) -> dict:
-    out = {(): ONE_C}
-    for _ in range(n):
-        out = poly_mul(out, a)
-    return out
-
-
-def _power(x, n: int, one):
+def _power(x, n: int, one, mul=operator.mul):
     """x ** n for n >= 0 by repeated squaring."""
     out = one
     while n:
         if n & 1:
-            out = out * x
+            out = mul(out, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return out
 
 
@@ -913,10 +902,10 @@ class Scalar:
 def _monomial(parts, coef: Cyclotomic, rad=()) -> Scalar:
     """The canonical form of coef * prod(mono^k) * prod(base^x) over (mono,
     k) in parts and (base, x) in rad: coef is a nonzero Cyclotomic, k an
-    int of either sign, x a Fraction, and a base may come more than once.
-    The integer part of the summed exponent of a base moves into the
-    symbol exponents, or into coef for a prime; then the positive symbol
-    exponents make num and the negative ones den, with coefficient 1."""
+    int of either sign, x a Fraction or an int, and a base may come more
+    than once.  The integer part of the summed exponent of a base moves
+    into the symbol exponents, or into coef for a prime; then the positive
+    symbol exponents make num and the negative ones den, coefficient 1."""
     rad, carries = _rad_merge(rad) if rad else ((), ())
     exps: dict = {}
     for (kind, key), k in carries:
@@ -947,8 +936,8 @@ def _quotient(num: dict, den: dict, rad) -> Scalar:
 
 
 def _rad_merge(pairs):
-    """Sum the exponents of the radical pairs (base, Fraction) per base.
-    Returns the canonical radical, sorted by base with every exponent in
+    """Sum the exponents of the radical pairs (base, Fraction or int) per
+    base.  Returns the canonical radical, sorted by base with every exponent in
     (0, 1), and the (base, int) carries of the integer parts, none when
     every sum stays in [0, 1)."""
     tot: dict = {}
@@ -969,7 +958,9 @@ def _poly_radical_root(a: dict, p: int):
     """p-th root of a polynomial allowing radical output: factors into
     monomial x cyclotomic-unit x rational x primitive-poly, roots each.
     A single term is its own monomial and coefficient, with no primitive
-    part.  Returns (poly part, radical exponent list)."""
+    part.  Returns (poly part, radical pairs): each symbol of the monomial
+    and each prime of the rational as (base, e/p), an int when p | e,
+    whose integer parts `_monomial` carries."""
     if not a:
         return {}, []
     if len(a) == 1:
@@ -980,32 +971,16 @@ def _poly_radical_root(a: dict, p: int):
         rest = poly_divexact(a, {gm: ONE_C}) if gm else a
         _, lc = poly_leading(rest)
         rest = poly_scale(rest, lc.inverse())
-    rad = []
-    # monomial part
-    mono_int = []
-    for s, e in gm:
-        q, r = divmod(e, p)
-        if q:
-            mono_int.append((s, q))
-        if r:
-            rad.append((("sym", s), Fraction(r, p)))
-    # coefficient part: unit x rational
     ur = lc.as_unit_times_rational()
     if ur is None:
         raise IrrationalRootError("coefficient is not unit times rational")
     q, t = ur
     t /= p
-    c = Cyclotomic.zeta(t.denominator, t.numerator)
     # q is in lowest terms: a denominator prime has a negative exponent
-    primes = [*_factor(q.numerator).items(),
-              *((prime, -e) for prime, e in _factor(q.denominator).items())]
-    for prime, e in primes:
-        qq, r = divmod(e, p)
-        if qq:
-            c = c * Cyclotomic.from_rational(Fraction(prime) ** qq)
-        if r:
-            rad.append((("prime", prime), Fraction(r, p)))
-    out = {tuple(mono_int): c}
+    rad = [*((("sym", s), _exponent(e, p)) for s, e in gm),
+           *((("prime", prime), _exponent(e, p)) for prime, e in _factor(q.numerator).items()),
+           *((("prime", prime), _exponent(-e, p)) for prime, e in _factor(q.denominator).items())]
+    out = {(): Cyclotomic.zeta(t.denominator, t.numerator)}
     if rest is not None:
         out = poly_mul(out, poly_root(rest, p))
     return out, rad
@@ -1195,28 +1170,26 @@ def render_cyclotomic(c: Cyclotomic) -> str:
         if q != 1 or t == 0:
             parts.append(render_fraction(q))
         if t:
-            n, k = t.denominator, t.numerator
-            parts.append(f"zeta({n})" + (f"^{k}" if k != 1 else ""))
+            parts.append(_zeta_text(t.denominator, t.numerator))
         return "*".join(parts)
-    terms = []
-    n = c.order
-    for k, co in enumerate(c.coords):
-        if co == 0:
-            continue
-        if k == 0:
-            terms.append(render_fraction(co))
-        else:
-            z = f"zeta({n})" + (f"^{k}" if k != 1 else "")
-            if co == 1:
-                terms.append(z)
-            elif co == -1:
-                terms.append(f"-{z}")
-            else:
-                terms.append(f"{render_fraction(co)}*{z}")
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
+    terms = [_term(render_fraction(co), _zeta_text(c.order, k) if k else "")
+             for k, co in enumerate(c.coords) if co]
+    out = _signed_sum(terms)
     return f"({out})" if len(terms) > 1 else out
+
+
+def _zeta_text(n: int, k: int) -> str:
+    return f"zeta({n})" + (f"^{k}" if k != 1 else "")
+
+
+def _term(cs: str, ms: str) -> str:
+    """The term with coefficient text cs and monomial text ms ("" for 1)."""
+    return ({"1": "", "-1": "-"}.get(cs, cs + "*") + ms) if ms else cs
+
+
+def _signed_sum(terms: list) -> str:
+    """The terms joined by +, a term that starts with - keeping its sign."""
+    return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
 
 
 def _render_mono(m) -> str:
@@ -1227,22 +1200,7 @@ def _render_poly(d: dict) -> str:
     if not d:
         return "0"
     items = sorted(d.items(), key=lambda t: mono_key(t[0]))
-    parts = []
-    for m, c in items:
-        cs = render_cyclotomic(c)
-        ms = _render_mono(m)
-        if not ms:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(ms)
-        elif cs == "-1":
-            parts.append(f"-{ms}")
-        else:
-            parts.append(f"{cs}*{ms}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    return _signed_sum([_term(render_cyclotomic(c), _render_mono(m)) for m, c in items])
 
 
 def render_scalar(s: Scalar) -> str:
@@ -1269,7 +1227,7 @@ def render_eigenvalue(e: Eigenvalue) -> str:
     if e.n == 2:
         parts.append("-1")
     elif e.k:
-        parts.append(f"zeta({e.n})" + (f"^{e.k}" if e.k != 1 else ""))
+        parts.append(_zeta_text(e.n, e.k))
     for s, ex in e.word:
         if ex == 1:
             parts.append(s)

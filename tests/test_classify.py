@@ -234,6 +234,16 @@ class TestVerifyClassification:
         names = [n for n, _, _ in CLASSIFICATION_ROWS] + ["excluded"]
         assert {n: classify.adjoint_dim_at_zero(n) for n in names} == want
 
+    @pytest.mark.parametrize("lookup", ["classification_descriptor", "verify_row",
+                                        "adjoint_dim_at_zero"])
+    def test_unknown_row_names_the_known_rows(self, lookup):
+        # every lookup of a row reads one table and fails the same way
+        with pytest.raises(ValueError, match="unknown classification row 'e5'") as exc:
+            getattr(classify, lookup)("e5")
+        for name, _, _ in CLASSIFICATION_ROWS:
+            assert name in str(exc.value)
+        assert "excluded" in str(exc.value)
+
     def test_lambda3_values(self):
         rep = verify_classification()
         assert rep["e2"]["lambda3_chi"] == 2

@@ -19,7 +19,7 @@ from katz_forge.engine import (ConnectionDescriptor, ContradictionError, INF,
                                op_middle_convolution, rigidity_index,
                                euler_char_middle, fourier_rank, run_script,
                                parse_script, descriptor_to_json,
-                               descriptor_from_json)
+                               descriptor_from_json, _vanishing)
 
 J = parse_jordan
 FT = parse_formal_type
@@ -495,6 +495,20 @@ def test_moebius_and_twist_keep_the_rigidity_index(c, data):
     loc = S(data.draw(st.sampled_from(_LOCATIONS)))
     eig = E(data.draw(st.sampled_from(_EIGS[1:])))
     assert rigidity_index(op_twist(c, {loc: eig, INF: eig.inverse()})) == rig
+
+
+@settings(max_examples=150, deadline=None)
+@given(_descriptors(_ANY_POINTS, _REGULAR + _SLOPE_ONE + _BELOW_ONE))
+def test_fourier_rank_is_the_rank_at_infinity(c):
+    # the rank lemma: the local transform of a piece e of the vanishing data
+    # has rank rk e + irr e, so op_fourier reads its generic rank from the
+    # type at infinity, and fourier_rank (which mc uses) agrees with it.
+    # The second round has the slope-(<1) pieces as irregular content at 0.
+    for d in (c, _in_scope(op_fourier, c)):
+        for s, ft in d.finite_points():
+            for e in _vanishing(ft).summands():
+                assert lft_shifted(e, s).rank() == e.rank() + e.irregularity()
+        assert _in_scope(op_fourier, d).rank == fourier_rank(d)
 
 
 @st.composite

@@ -128,8 +128,9 @@ JORDAN_EQUAL = [("(x*J(2))", "(xJ(2))"), ("(zeta(3)*J(2))", "(zeta(3)J(2))"),
 
 # library calls that must raise ValueError: each row is an expression over
 # the names of CALLS_SETUP
-CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, FormalType, "
-               "euler_char_middle, parse_jordan, parse_scalar\n"
+CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, ElementaryModule, "
+               "FormalType, JordanData, euler_char_middle, parse_eigenvalue, parse_jordan, "
+               "parse_scalar\n"
                "from katz_forge.classify import CandidateShape\n"
                "from katz_forge.elementary import parse_elementary\n"
                "from katz_forge.fourier import lft_inf_to_s\n"
@@ -157,6 +158,18 @@ CALLS = {
     # a slope-(<1) piece at infinity with two tail terms: inverting its top
     # term alone would drop b/u
     "lft_inf_to_s_two_term_tail": "lft_inf_to_s(parse_elementary('El(3, a/u^2 + b/u, (1))'))",
+    # sizes that are not ints, which int() would truncate to a valid value
+    "elementary_p_not_integer":
+        "ElementaryModule.make(2.5, {1: parse_scalar('a')}, parse_jordan('(1)'))",
+    "elementary_p_bool": "ElementaryModule.make(True, {1: parse_scalar('a')}, parse_jordan('(1)'))",
+    "elementary_pole_order_not_integer":
+        "ElementaryModule.make(2, {1.5: parse_scalar('a')}, parse_jordan('(1)'))",
+    "elementary_pole_order_not_integer_on_a_cover":
+        "ElementaryModule.make(2, {1.5: parse_scalar('a')}, parse_jordan('(1)'), parse_scalar('4'))",
+    "jordan_block_size_not_integer": "JordanData.make([(parse_eigenvalue('1'), 2.7)])",
+    "jordan_block_size_bool": "JordanData.make([(parse_eigenvalue('1'), True)])",
+    "descriptor_rank_not_integer": "ConnectionDescriptor.make(dict(KUMMER.points), 7.9)",
+    "descriptor_rank_bool": "ConnectionDescriptor.make(dict(KUMMER.points), True)",
 }
 
 
