@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import (Scalar, Eigenvalue, ZERO, ONE, SCALAR, IrrationalSumError,
-                      render_scalar, parse_expression, split_top)
+                      ascii_int, render_scalar, parse_expression, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan, require_int
 
 
@@ -107,19 +107,12 @@ class ElementaryModule:
         return e
 
     def _reduce(self) -> "ElementaryModule":
-        e = self
-        while True:
-            if not e.tail:
-                if e.p == 1:
-                    return e
-                return ElementaryModule.make(1, {}, e.r.push(e.p))
-            m = e.p
-            for j, _ in e.tail:
-                m = gcd(m, j)
-            if m == 1:
-                return e
-            tail = {j // m: a for j, a in e.tail}
-            e = ElementaryModule.make(e.p // m, tail, e.r.push(m))
+        # p and the pole orders over m have gcd 1: one division is minimal
+        m = gcd(self.p, *(j for j, _ in self.tail))
+        if m == 1:
+            return self
+        return ElementaryModule.make(self.p // m, {j // m: a for j, a in self.tail},
+                                     self.r.push(m))
 
     def _orbit_min(self) -> "ElementaryModule":
         if self.p == 1 or not self.tail:
@@ -303,7 +296,7 @@ def parse_elementary(text: str) -> ElementaryModule:
     ram, tail_s, r_s = (x.strip() for x in args)
     lead = ONE
     if ram.isdecimal():
-        p = int(ram)
+        p = ascii_int(ram)
     elif (split := _u_power(ram)) is not None:
         c, p = split
         if c:
@@ -337,4 +330,4 @@ def _u_power(text: str):
     """(the text before it, k) when text ends with u^k or u (k = 1), a token
     of its own: a number may stand just before it (2u^3), a name not (a2u^3)."""
     m = re.search(r"\b(\d*)u\s*(?:\^\s*(\d+))?\s*$", text)
-    return m and (text[:m.end(1)].rstrip(), int(m.group(2) or 1))
+    return m and (text[:m.end(1)].rstrip(), ascii_int(m.group(2) or "1"))

@@ -164,23 +164,15 @@ def op_moebius(c: ConnectionDescriptor, kind: str, a: Scalar = None, b: Scalar =
         b = b if b is not None else ZERO
         pts = {}
         for loc, ft in c.points:
-            if loc == INF:
-                pts[INF] = _affine_inf(ft, a, b)
-            else:
-                # the new coordinate a * (z - loc) is the cover a * u^p
-                pts[loc * a + b] = FormalType.make(ft.regular, [
-                    ElementaryModule.make(e.p, e.tail, e.r, a) for e in ft.irregular])
+            els = []
+            for e in ft.irregular:
+                if loc == INF and not b.is_zero() and e.slope() > 1:
+                    raise OutOfScopeError("affine shift with slopes > 1 at infinity")
+                # the new coordinate a * (z - loc) is the cover a * u^p, 1/(a z) the cover u^p / a
+                els.append(ElementaryModule.make(e.p, e.tail, e.r, ONE / a if loc == INF else a))
+            pts[INF if loc == INF else loc * a + b] = FormalType.make(ft.regular, els)
         return ConnectionDescriptor.make(pts, c.rank)
     raise ValueError(f"unknown Moebius kind {kind!r}")
-
-
-def _affine_inf(ft: FormalType, a: Scalar, b: Scalar) -> FormalType:
-    els = []
-    for e in ft.irregular:
-        if not b.is_zero() and e.slope() > 1:
-            raise OutOfScopeError("affine shift with slopes > 1 at infinity")
-        els.append(ElementaryModule.make(e.p, e.tail, e.r, ONE / a))
-    return FormalType.make(ft.regular, els)
 
 
 def _vanishing(ft: FormalType) -> FormalType:

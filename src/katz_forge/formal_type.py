@@ -30,7 +30,7 @@ from itertools import combinations
 from math import lcm
 
 from .scalars import (Scalar, Eigenvalue, OutOfScopeError, render_scalar, parse_scalar,
-                      render_eigenvalue, parse_eigenvalue, row_reduce, split_top)
+                      render_eigenvalue, parse_eigenvalue, ascii_int, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 from .elementary import (ElementaryModule, DetData, el_hom, hom_counts,
                          render_elementary, parse_elementary)
@@ -326,7 +326,7 @@ def formal_type_from_json(d: dict) -> FormalType:
     reg = JordanData.make([(parse_eigenvalue(e), s) for e, s in d.get("regular", [])])
     els = []
     for ed in d.get("irregular", []):
-        tail = {-int(j): parse_scalar(a) for j, a in ed.get("phi", {}).items()}
+        tail = {-ascii_int(j): parse_scalar(a) for j, a in ed.get("phi", {}).items()}
         r = JordanData.make([(parse_eigenvalue(e), s) for e, s in ed["R"]])
         els.append(ElementaryModule.make(ed["p"], tail, r,
                                          parse_scalar(ed.get("c", "1"))))

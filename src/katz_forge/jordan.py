@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import Eigenvalue, parse_eigenvalue, render_eigenvalue, split_top
+from .scalars import Eigenvalue, ascii_int, parse_eigenvalue, render_eigenvalue, split_top
 
 
 def require_int(x, what: str) -> int:
@@ -197,15 +197,13 @@ def parse_jordan(text: str) -> JordanData:
 
 
 def _parse_jordan_entry(ent: str):
-    # [eig][J(n)] or [eig]E<n> or [eig]E_<n>
+    # [eig][J(n)], or [eig]E<n> or [eig]E_<n>: n blocks of size 1
     import re
-    m = re.search(r"J\((\d+)\)\s*$", ent)
-    if m:
-        return [(_entry_head(ent[: m.start()]), int(m.group(1)))]
-    m = re.search(r"E_?(\d+)\s*$", ent)
-    if m:
-        return [(_entry_head(ent[: m.start()]), 1)] * int(m.group(1))
-    return [(parse_eigenvalue(ent), 1)]
+    m = re.search(r"(?:J\((\d+)\)|E_?(\d+))\s*$", ent)
+    if not m:
+        return [(parse_eigenvalue(ent), 1)]
+    head = _entry_head(ent[: m.start()])
+    return [(head, ascii_int(m[1]))] if m[1] else [(head, 1)] * ascii_int(m[2])
 
 
 def _entry_head(head: str) -> Eigenvalue:

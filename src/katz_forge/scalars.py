@@ -520,21 +520,10 @@ def _poly_to_univ(a: dict, var: str) -> dict:
     """Split off `var`: returns dict degree -> poly-in-remaining-vars."""
     out: dict = {}
     for m, c in a.items():
-        d = 0
-        rest = []
-        for s, e in m:
-            if s == var:
-                d = e
-            else:
-                rest.append((s, e))
-        lvl = out.setdefault(d, {})
-        rest = tuple(rest)
-        s2 = lvl.get(rest, ZERO_C) + c
-        if s2.is_zero():
-            lvl.pop(rest, None)
-        else:
-            lvl[rest] = s2
-    return {d: p for d, p in out.items() if p}
+        # a monomial splits uniquely into its var power and the rest
+        d = next((e for s, e in m if s == var), 0)
+        out.setdefault(d, {})[tuple((s, e) for s, e in m if s != var)] = c
+    return out
 
 
 def _univ_to_poly(u: dict, var: str) -> dict:
@@ -579,17 +568,10 @@ def _mono_div(a, b):
 def poly_gcd(a: dict, b: dict) -> dict:
     """GCD over the cyclotomic coefficient field, normalized monic in
     graded-lex leading term."""
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
     if len(a) == 1 or len(b) == 1:
         # a monomial divides a polynomial iff it divides every term
         return {_mono_gcd_all([*a, *b]): ONE_C}
-    vs = sorted(poly_vars(a) | poly_vars(b))
-    if not vs:
-        return {(): ONE_C}
-    return _monic(_gcd_rec(a, b, vs))
+    return _monic(_gcd_rec(a, b, sorted(poly_vars(a) | poly_vars(b))))
 
 
 def _mono_gcd_all(a):
@@ -614,33 +596,33 @@ def _gcd_rec(a: dict, b: dict, vs) -> dict:
         return b
     if not b:
         return a
-    if not vs:
-        return {(): ONE_C}
     if (() in a and len(a) == 1) or (() in b and len(b) == 1):
         return {(): ONE_C}
     var = vs[0]
     ua, ub = _poly_to_univ(a, var), _poly_to_univ(b, var)
-    if len(ua) == 1 and 0 in ua and len(ub) == 1 and 0 in ub:
-        return _gcd_rec(a, b, vs[1:])
-    ca = _content(ua, vs[1:])
-    cb = _content(ub, vs[1:])
-    pa = {d: poly_divexact(p, ca) for d, p in ua.items()}
-    pb = {d: poly_divexact(p, cb) for d, p in ub.items()}
+    ca, pa = _primitive(ua, vs[1:])
+    cb, pb = _primitive(ub, vs[1:])
     g = _univ_gcd(pa, pb, vs[1:])
     cg = _gcd_rec(ca, cb, vs[1:])
     return poly_mul(_univ_to_poly(g, var), cg)
 
 
-def _content(u: dict, vs) -> dict:
-    if not vs:
-        return {(): ONE_C}
-    polys = list(u.values())
-    g = polys[0]
-    for p in polys[1:]:
-        g = _gcd_rec(g, p, list(vs))
-        if g == {(): ONE_C}:
+def _primitive(u: dict, vs) -> tuple:
+    """(content, primitive part) of a nonzero univariate poly u: the monic gcd
+    of its coefficients, and u over it, made monic if it leads with a constant."""
+    polys = iter(u.values())
+    c = next(polys)
+    for p in polys:
+        c = _gcd_rec(c, p, vs)
+        if c == {(): ONE_C}:
             break
-    return _monic(g)
+    c = _monic(c)
+    if c != {(): ONE_C}:
+        u = {d: poly_divexact(p, c) for d, p in u.items()}
+    lc = u[_deg(u)]
+    if len(lc) == 1 and () in lc:
+        u = {d: poly_scale(p, lc[()].inverse()) for d, p in u.items()}
+    return c, u
 
 
 def _deg(u: dict) -> int:
@@ -649,25 +631,12 @@ def _deg(u: dict) -> int:
 
 
 def _univ_gcd(a: dict, b: dict, vs) -> dict:
-    """Primitive PRS on univariate polys with poly coefficients."""
-    def prim(u):
-        if not u:
-            return u
-        c = _content(u, vs) if vs else {(): ONE_C}
-        if vs:
-            u = {d: poly_divexact(p, c) for d, p in u.items()}
-        lc = u[_deg(u)]
-        if len(lc) == 1 and () in lc:
-            u = {d: poly_scale(p, lc[()].inverse()) for d, p in u.items()}
-        return u
-
-    a, b = prim(a), prim(b)
+    """Primitive PRS on univariate polys with poly coefficients, as _primitive returns them."""
     if _deg(a) < _deg(b):
         a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, prim(r)
-    return a
+    while r := _pseudo_rem(a, b):
+        a, b = b, _primitive(r, vs)[1]
+    return b
 
 
 def _pseudo_rem(a: dict, b: dict) -> dict:
@@ -1266,6 +1235,13 @@ def split_top(text: str, sep: str) -> list:
     return out
 
 
+def ascii_int(text: str) -> int:
+    """int(text), read only from ASCII digits after an optional minus."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"integer must be written in ASCII digits 0-9, got {text!r}")
+
+
 class _Tok:
     """A text read by the expression grammar: the position, the reading and
     the depth of the open parentheses."""
@@ -1294,7 +1270,7 @@ class _Tok:
         return self.text[start:self.pos]
 
     def number(self) -> int:
-        return int(self.run(str.isdigit))
+        return ascii_int(self.run(str.isdigit))
 
 
 # The grammar recurses once per level of parentheses; deeper input is an

@@ -229,6 +229,14 @@ class TestOperationProperties:
             assert op_moebius(op_moebius(c, "inv"), "inv") == c
         assert op_moebius(GOLDEN[0], "affine", S("1"), S("0")) == GOLDEN[0]
 
+    def test_affine_shift_at_infinity_keeps_slopes_at_most_one(self):
+        c = ConnectionDescriptor.make({INF: FT("El(1, a1/u^2, (1))")}, 1)
+        with pytest.raises(OutOfScopeError, match="slopes > 1 at infinity"):
+            op_moebius(c, "affine", S("2"), S("1"))
+        # with b = 0 the coordinate 1/(2z) is the cover u/2
+        assert op_moebius(c, "affine", S("2"), S("0")).point(INF) == FT(
+            "El(1/2*u, a1/u^2, (1))")
+
     def test_mc_preconditions(self):
         c = GOLDEN[0]
         with pytest.raises(ValueError):

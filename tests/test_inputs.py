@@ -71,6 +71,11 @@ DESCRIPTORS = {
     # phi keys "1" and "0" are pole orders -1 and 0: not tail terms
     "phi_pole_order_negative": _e2_with(E2_EL + ("phi",), {"1": "a1"}),
     "phi_pole_order_zero": _e2_with(E2_EL + ("phi",), {"0": "a1"}),
+    # integers are written in ASCII digits: int() would read these phi keys
+    # as pole orders 10, 1 and 1 (an Arabic-Indic one)
+    "phi_key_underscore": _e2_with(E2_EL + ("phi",), {"-1_0": "a1"}),
+    "phi_key_blanks": _e2_with(E2_EL + ("phi",), {" -1 ": "a1"}),
+    "phi_key_non_ascii_digit": _e2_with(E2_EL + ("phi",), {"-\u0661": "a1"}),
     # a zero divisor as a location, a tail coefficient and a cover coefficient
     "location_over_zero": _l1_with("a1/0", {"regular": [["-l", 1]], "irregular": []}),
     "tail_zero_to_a_negative_power": _e2_with(E2_EL + ("phi",), {"-1": "0^-1"}),
@@ -108,7 +113,10 @@ ELEMENTARY = ["E(2, a1, (1))", "El(2, a1, (1)", "El(2, a1)", "El(2, a1, (1), 3)"
               # u, the coordinate of the cover, anywhere but in c*u^p and c/u^j
               "El(2, a1/(u^2), (1))", "El(u2, a1, (1))", "El(2, a1*u, (1))",
               # parentheses nested deeper than the grammar reads
-              "El(2, " + "(" * 400 + "a1" + ")" * 400 + ", (1))"]
+              "El(2, " + "(" * 400 + "a1" + ")" * 400 + ", (1))",
+              # digits other than ASCII 0-9 in p, u^p, c/u^j, J(n) and E<n>
+              "El(\u0662, a1, (1))", "El(u^\u0662, a1, (1))", "El(2, a1/u^\u0662, (1))",
+              "El(2, a1, (J(\u0663)))", "El(2, a1, (E\u0663))"]
 
 # (El(...), p, {pole order: coefficient}) that must read as that module with
 # R = (1): a binary - separates terms, and u1, u2 are symbols like a1
@@ -117,9 +125,10 @@ ELEMENTARY_EQUAL = [("El(u^2, a1 - a2/u^2, (1))", 2, {1: "a1", 2: "-a2"}),
                     ("El(2, a1/u1, (1))", 2, {1: "a1/u1"})]
 
 # an empty factor is no symbol; zeta(0) is no root of unity; 400 nested
-# parentheses are too deep
+# parentheses are too deep; an integer is written in ASCII digits
 EIGENVALUES = ["", "-", "x*", "()", "1*", "x/", "zeta(0)"]
-SCALARS = ["zeta(0)", "zeta(0)^2", "(" * 400 + "x" + ")" * 400]
+SCALARS = ["zeta(0)", "zeta(0)^2", "(" * 400 + "x" + ")" * 400,
+           "\u0663", "zeta(\u0663)", "a1^\u0662"]
 
 # (written form, form it must equal): a `*` before J(n) or E<n> is optional
 # and a zeta power may be fractional

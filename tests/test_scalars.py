@@ -353,6 +353,26 @@ def test_monomial_product_and_quotient_match_the_polynomial_route(x, y):
                                x.rad + tuple((b, -e) for b, e in y.rad)))
 
 
+# f, g, h in three symbols over Q(zeta_n), n <= 4
+_poly_3 = st.dictionaries(
+    st.builds(lambda exps: tuple((s, e) for s, e in zip("abc", exps) if e),
+              st.lists(st.integers(0, 2), min_size=3, max_size=3)),
+    st.builds(Cyclotomic, st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=1,
+                                                      max_size=4)).filter(lambda c: not c.is_zero()),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_3, _poly_3, _poly_3)
+def test_gcd_of_products_is_monic_and_leaves_coprime_cofactors(f, g, h):
+    fh, gh = poly_mul(f, h), poly_mul(g, h)
+    G = poly_gcd(fh, gh)
+    assert poly_leading(G)[1] == Cyclotomic.from_rational(1)
+    cofactors = poly_divexact(fh, G), poly_divexact(gh, G)
+    poly_divexact(G, poly_scale(h, poly_leading(h)[1].inverse()))
+    assert poly_gcd(*cofactors) == {(): Cyclotomic.from_rational(1)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(
     st.sampled_from([("sym", "a"), ("sym", "c"), ("prime", 2), ("prime", 3)]),
