@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from .scalars import Scalar, Eigenvalue, ONE
+from .scalars import Scalar, Eigenvalue
 from .jordan import JordanData, parse_jordan
 from .elementary import ElementaryModule, El
 from .formal_type import FormalType, parse_formal_type
@@ -164,11 +164,13 @@ def _special_pole2_shapes(profile, reg_rank) -> list:
 
 
 def _once(found: dict, invariant, arg):
-    """invariant(arg), or its value in found from earlier in the same call."""
+    """invariant(arg), or its value in found from earlier in the same call.
+    No invariant is None, so a hit hashes the key, a whole type, once."""
     key = (invariant, arg)
-    if key not in found:
-        found[key] = invariant(arg)
-    return found[key]
+    value = found.get(key)
+    if value is None:
+        value = found[key] = invariant(arg)
+    return value
 
 
 def computed_local_invariants() -> dict:
@@ -424,18 +426,27 @@ def _pattern(ft: FormalType) -> bool:
     return g2_pattern_check(ft.formal_monodromy().eigenvalue_multiset())
 
 
+def _end_and_checks(ft: FormalType) -> tuple:
+    return ft.end(), ft.checks()
+
+
+def descriptor_checks(c: ConnectionDescriptor, found: dict) -> tuple:
+    """(ends, checks) of c for `check` and `--verify`: End at each point, rig,
+    self-duality and trivial determinant over the points and the exponential
+    torus dimension at infinity, each taken from found if computed before."""
+    ends, cks = zip(*(_once(found, _end_and_checks, ft) for _, ft in c.points))
+    return ends, {"rig": euler_char(c.rank * c.rank, ends),
+                  "self_dual": all(ck["self_dual"] for ck in cks),
+                  "det_trivial": all(ck["det_trivial"] for ck in cks),
+                  "torus_dim": _once(found, FormalType.exponential_torus_dim, c.inf_type())}
+
+
 def _verify_row(name: str, found: dict) -> dict:
     c = _descriptor(name, found)
     zero_ft = c.point(Scalar.rational(0))
     inf_ft = c.inf_type()
-    checks = {}
-    ends = [_once(found, FormalType.end, ft) for _, ft in c.points]
-    checks["rig"] = euler_char(c.rank * c.rank, ends)
+    checks = descriptor_checks(c, found)[1]
     checks["rig_ok"] = checks["rig"] == 2
-    ck0, cki = (_once(found, FormalType.checks, ft) for ft in (zero_ft, inf_ft))
-    checks["self_dual"] = ck0["self_dual"] and cki["self_dual"]
-    checks["det_trivial"] = ck0["det_trivial"] and cki["det_trivial"]
-    checks["torus_dim"] = _once(found, FormalType.exponential_torus_dim, inf_ft)
     checks["torus_ok"] = checks["torus_dim"] <= 2
     checks["pattern_zero"] = _once(found, _pattern, zero_ft)
     checks["pattern_inf"] = _once(found, _pattern, inf_ft)
@@ -530,10 +541,7 @@ def _subs_eig(e: Eigenvalue, subs: dict) -> Eigenvalue:
 
 
 def _e2_member():
-    z65 = Scalar.zeta(6, 5)
-    a1 = Scalar.sym("a1")
-    inf = FormalType.make(
-        JordanData.single(Eigenvalue.minus_one(), 1),
-        [El(2, -a1, "(1)"), El(2, z65 * a1, "(1)"), El(2, (z65 - ONE) * a1, "(1)")])
-    zero = FormalType.make(parse_jordan("(J(3), J(2), J(2))"))
-    return ConnectionDescriptor.make({Scalar.rational(0): zero, "inf": inf}, 7)
+    return ConnectionDescriptor.make(
+        {Scalar.rational(0): _regular_type(_row("e2")[0]),
+         "inf": parse_formal_type("El(2, -a1, (1)) + El(2, zeta(6)^5*a1, (1)) "
+                                  "+ El(2, (zeta(6)^5 - 1)*a1, (1)) + (-1)")}, 7)

@@ -12,18 +12,15 @@ import json
 import os
 import sys
 
-from .scalars import OutOfScopeError
+from .scalars import OutOfScopeError, ascii_int
 from .formal_type import render_formal_type
 from .engine import (ConnectionDescriptor, ContradictionError,
-                     descriptor_from_json, descriptor_to_json, euler_char, parse_script,
-                     parse_step, render_location, run_script)
+                     descriptor_from_json, descriptor_to_json, parse_script, parse_step,
+                     render_location, run_script)
 from . import classify
 
 
 def golden_dir() -> str:
-    env = os.environ.get("KATZ_FORGE_GOLDEN_DIR")
-    if env:
-        return env
     return os.path.join(os.path.dirname(__file__), "goldens")
 
 
@@ -59,32 +56,18 @@ def _load(path: str) -> ConnectionDescriptor:
 
 
 def _check_report(c: ConnectionDescriptor) -> dict:
-    points = {}
-    ends = []
-    checks = []
-    for loc, ft in c.points:
-        end = ft.end()
-        ends.append(end)
-        checks.append(ft.checks())
-        points[render_location(loc)] = {
+    ends, checks = classify.descriptor_checks(c, {})
+    points = {
+        render_location(loc): {
             "type": render_formal_type(ft),
             "slopes": {str(s): d for s, d in sorted(ft.slopes().items())},
             "irr": ft.irregularity(),
             "end_irr": end.irregularity(),
             "end_soln": end.soln_dim(),
-        }
-    inf_ft = c.inf_type()
-    mono = inf_ft.formal_monodromy().eigenvalue_multiset()
+        } for (loc, ft), end in zip(c.points, ends)}
+    mono = c.inf_type().formal_monodromy().eigenvalue_multiset()
     pattern = classify.g2_pattern_check(mono) if len(mono) == 7 else None
-    return {
-        "rank": c.rank,
-        "points": points,
-        "rig": euler_char(c.rank * c.rank, ends),
-        "self_dual": all(ch["self_dual"] for ch in checks),
-        "det_trivial": all(ch["det_trivial"] for ch in checks),
-        "torus_dim": inf_ft.exponential_torus_dim(),
-        "g2_pattern": pattern,
-    }
+    return {"rank": c.rank, "points": points, **checks, "g2_pattern": pattern}
 
 
 def cmd_check(args) -> int:
@@ -250,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify")
     p.add_argument("--tables", action="store_true")
-    p.add_argument("--tuples", type=int, default=None, metavar="R")
+    p.add_argument("--tuples", type=ascii_int, default=None, metavar="R")
     p.add_argument("--profiles", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -258,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pullback")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("k", type=int, nargs="?")
+    p.add_argument("k", type=ascii_int, nargs="?")
     p.add_argument("descriptor", nargs="?")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_pullback)

@@ -401,19 +401,18 @@ class Cyclotomic:
     def as_unit_times_rational(self):
         """Return (q, torsion) with self = q * e^(2 pi i torsion), q a
         positive rational and torsion in [0, 1); a negative sign is the
-        torsion 1/2.  None if self is not rational times a root of unity."""
+        torsion 1/2.  None if self is not rational times a root of unity.
+        Every root of unity of Q(zeta_n) is +-zeta_n^k with k < n, and the
+        rational factor carries the sign."""
         if self.is_zero():
             return None
-        x = self.num
+        x, n = self.num, self.order
         i = next(i for i, c in enumerate(x) if c)
-        units = _roots_of_unity(self.order)
-        for k, z in enumerate(units):
+        for k in range(n):
+            z = _zeta_power(n, k)
             if z[i] and all(c * z[i] == v * x[i] for c, v in zip(x, z)):
-                q = Fraction(x[i], z[i] * self.den)
-                t = Fraction(k, len(units))
-                if q < 0:
-                    q, t = -q, (t + Fraction(1, 2)) % 1
-                return q, t % 1
+                q, t = Fraction(x[i], z[i] * self.den), Fraction(k, n)
+                return (q, t) if q > 0 else (-q, (t + Fraction(1, 2)) % 1)
         return None
 
     def sort_key(self):
@@ -437,15 +436,6 @@ class Cyclotomic:
 def _zeta(n: int, k: int) -> Cyclotomic:
     """zeta_n^k, 0 <= k < n, in canonical form."""
     return Cyclotomic._canonical(n, list(_zeta_power(n, k)))
-
-
-@lru_cache(maxsize=None)
-def _roots_of_unity(order: int) -> tuple:
-    """Numerators in Q(zeta_order) of zeta_n^k for k < n, n = lcm(2, order):
-    every root of unity of that field, in the order of k (all have
-    denominator 1)."""
-    n = lcm(2, order)
-    return tuple(tuple(_zeta(n, k)._lift(order)) for k in range(n))
 
 
 ONE_C = Cyclotomic.from_rational(1)
@@ -736,15 +726,20 @@ class Scalar:
 
     @staticmethod
     def make(num: dict, den: dict, rad=()) -> "Scalar":
-        """The canonical form of num / den times the radical rad, of which
-        only the fractional part of each exponent is kept."""
+        """The canonical form of num / den times the radical rad, (base,
+        Fraction) pairs summed per base, whose integer parts are carried into
+        num and den.  One term over one term is a monomial."""
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             return ZERO
-        rad = [(b, e % 1) for b, e in rad]
         if len(num) == 1 and len(den) == 1:
-            return _quotient(num, den, rad)
+            (mn, cn), = num.items()
+            (md, cd), = den.items()
+            return _monomial(((mn, 1), (md, -1)), cn * cd.inverse(), rad)
+        if rad:
+            carry = _monomial((), ONE_C, rad)
+            num, den, rad = poly_mul(num, carry.numd()), poly_mul(den, carry.dend()), carry.rad
         g = poly_gcd(num, den)
         if not (len(g) == 1 and () in g and g[()] == ONE_C):
             num = poly_divexact(num, g)
@@ -754,7 +749,7 @@ class Scalar:
             inv = lc.inverse()
             num = poly_scale(num, inv)
             den = poly_scale(den, inv)
-        return Scalar(Scalar._pack(num), Scalar._pack(den), _rad_merge(rad)[0])
+        return Scalar(Scalar._pack(num), Scalar._pack(den), tuple(rad))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -816,8 +811,8 @@ class Scalar:
             ((m2, c2),), ((d2, _),) = other.num, other.den
             return _monomial(((m1, 1), (d1, -1), (m2, 1), (d2, -1)), c1 * c2,
                              self.rad + other.rad)
-        return _quotient(poly_mul(self.numd(), other.numd()),
-                         poly_mul(self.dend(), other.dend()), self.rad + other.rad)
+        return Scalar.make(poly_mul(self.numd(), other.numd()),
+                           poly_mul(self.dend(), other.dend()), self.rad + other.rad)
 
     def times_unit(self, n: int, k: int) -> "Scalar":
         """self * zeta_n^k, without the gcd of ``make``: a unit leaves num
@@ -830,7 +825,7 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        return self * _quotient(other.dend(), other.numd(), tuple((b, -e) for b, e in other.rad))
+        return self * Scalar.make(other.dend(), other.numd(), tuple((b, -e) for b, e in other.rad))
 
     def __pow__(self, n: int) -> "Scalar":
         if len(self.num) == 1 and len(self.den) == 1:
@@ -852,8 +847,8 @@ class Scalar:
             return self
         npart, nrad = _poly_radical_root(self.numd(), p)
         dpart, drad = _poly_radical_root(self.dend(), p)
-        out = _quotient(npart, dpart, [(b, e / p) for b, e in self.rad] + nrad
-                        + [(b, -e) for b, e in drad])
+        out = Scalar.make(npart, dpart, [(b, e / p) for b, e in self.rad] + nrad
+                          + [(b, -e) for b, e in drad])
         check = out ** p
         if check != self:
             raise IrrationalRootError(f"{render_scalar(self)} has no canonical {p}-th root (got {render_scalar(check)})")
@@ -888,20 +883,6 @@ def _monomial(parts, coef: Cyclotomic, rad=()) -> Scalar:
     exps = sorted(exps.items())
     return Scalar(((tuple((s, e) for s, e in exps if e > 0), coef),),
                   ((tuple((s, -e) for s, e in exps if e < 0), ONE_C),), rad)
-
-
-def _quotient(num: dict, den: dict, rad) -> Scalar:
-    """The canonical form of num / den times the radical rad, (base,
-    Fraction) pairs summed per base, whose integer parts are carried into
-    num and den.  One term over one term is a monomial."""
-    if len(num) == 1 and len(den) == 1:
-        (mn, cn), = num.items()
-        (md, cd), = den.items()
-        return _monomial(((mn, 1), (md, -1)), cn * cd.inverse(), rad)
-    if not rad:
-        return Scalar.make(num, den)
-    carry = _monomial((), ONE_C, rad)
-    return Scalar.make(poly_mul(num, carry.numd()), poly_mul(den, carry.dend()), carry.rad)
 
 
 def _rad_merge(pairs):
@@ -1182,8 +1163,8 @@ def render_scalar(s: Scalar) -> str:
     parts = [num]
     if dend != {(): ONE_C}:
         den = _render_poly(dend)
-        if len(dend) > 1 or any(m for m in dend):
-            den = f"({den})" if len(dend) > 1 else den
+        if len(dend) > 1:
+            den = f"({den})"
         parts[0] = f"{num}/{den}"
     for (kind, key), e in s.rad:
         base = key if kind == "sym" else str(key)

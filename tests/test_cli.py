@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from katz_forge.classify import verify_classification
 from katz_forge.cli import main, golden_path
 
 
@@ -191,6 +192,20 @@ class TestClassify:
         assert code == 2
 
 
+ROW_GOLDENS = ["e1_1", "e1_2", "e1_3", "e2", "e3", "e4_1", "e4_2", "e4_3", "e4_4", "e4_5",
+               "excluded"]
+
+
+def test_check_agrees_with_verify_on_every_row(capsys):
+    rep = verify_classification()
+    keys = ("rig", "self_dual", "det_trivial", "torus_dim")
+    for name in ROW_GOLDENS:
+        code, out, _ = invoke(capsys, "check", golden_path(f"{name}.json"), "--json")
+        assert code == 0
+        got = json.loads(out)
+        assert [got[k] for k in keys] == [rep[name][k] for k in keys], name
+
+
 class TestPullback:
     def test_verify(self, capsys):
         code, out, _ = invoke(capsys, "pullback", "--verify")
@@ -270,6 +285,17 @@ class TestErrorBoundary:
         self._error(*invoke(capsys, "classify", "--tuples", r),
                     f"rigidity tuples need R >= 1 singular points, got R = {r}")
 
+    @pytest.mark.parametrize("argv", [("classify", "--tuples", "\u0661"),
+                                      ("classify", "--tuples", " 1_0 "),
+                                      ("pullback", " 2 ", "e4_5.json"),
+                                      ("pullback", "\u0662", "e4_5.json")])
+    def test_cli_integers_in_ascii_digits(self, argv, capsys):
+        # R and K are read as the integers of a descriptor are: int() would
+        # take an Arabic-Indic digit, an underscore or surrounding blanks
+        argv = [golden_path(a) if a.endswith(".json") else a for a in argv]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "invalid ascii_int value" in err
+
     def test_check_directory(self, tmp_path, capsys):
         self._error(*invoke(capsys, "check", str(tmp_path)), "[Errno")
 
@@ -296,8 +322,3 @@ class TestDeterminism:
         assert code == 0 and json.loads(out)["rig"] == 2
         code, out, _ = invoke(capsys, "check", path)
         assert code == 0 and out.startswith("rank = 7\n")
-
-    def test_golden_dir_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("KATZ_FORGE_GOLDEN_DIR", str(tmp_path))
-        from katz_forge import cli
-        assert cli.golden_dir() == str(tmp_path)

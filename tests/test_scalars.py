@@ -218,9 +218,9 @@ def test_scalar_root_power_property():
 # -- the one-term quotient of Scalar.make against the general route ----------
 
 def _general_make(num, den, rad):
-    """Scalar.make by the route of any quotient: divide num and den by their
-    gcd, then by the leading coefficient of den; keep the fractional part
-    of each radical exponent."""
+    """num / den times a radical of exponents in [0, 1) by the route of any
+    quotient: divide num and den by their gcd, then by the leading
+    coefficient of den."""
     g = poly_gcd(num, den)
     num, den = poly_divexact(num, g), poly_divexact(den, g)
     inv = poly_leading(den)[1].inverse()
@@ -238,19 +238,17 @@ _cyclotomic = st.builds(
 _monomial = st.builds(
     lambda exps: tuple((s, e) for s, e in zip("abc", exps) if e),
     st.lists(st.integers(0, 4), min_size=3, max_size=3))
-_radical = st.lists(st.tuples(
+_radical_pair = st.tuples(
     st.sampled_from([("sym", "a"), ("sym", "c"), ("prime", 2), ("prime", 3)]),
-    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))),
-    max_size=3, unique_by=lambda t: t[0])
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)))
+_radical = st.lists(_radical_pair, max_size=3, unique_by=lambda t: t[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_monomial, _cyclotomic, _monomial, _cyclotomic, _radical)
 def test_one_term_quotient_matches_the_gcd_route(mn, cn, md, cd, rad):
     num, den = {mn: cn}, {tuple((s, e) for s, e in md if s != "c"): cd}
-    fast, general = Scalar.make(num, den, rad), _general_make(num, den, rad)
-    assert (fast.num, fast.den, fast.rad) == (general.num, general.den, general.rad)
-    assert hash(fast) == hash(general)
+    _same(Scalar.make(num, den, rad), _carried_make(num, den, rad))
 
 
 # -- monomial powers and roots against the general routes ----------------------
@@ -340,6 +338,14 @@ def test_monomial_power_matches_repeated_squaring(x, n):
 
 # coefficients in Q(zeta_24), so that products stay in a field of degree 8
 _cyclotomic_24 = _cyclotomic.filter(lambda c: 24 % c.order == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_monomial, _cyclotomic_24, min_size=2, max_size=3), _monomial,
+       _cyclotomic_24, st.lists(_radical_pair, max_size=4))
+def test_make_carries_the_summed_radical_on_the_gcd_route(num, md, cd, rad):
+    # a base may come more than once, and its summed exponent may leave [0, 1)
+    _same(Scalar.make(num, {md: cd}, rad), _carried_make(num, {md: cd}, rad))
 
 
 @settings(max_examples=150, deadline=None)
@@ -437,7 +443,6 @@ def test_monomial_arithmetic_builds_no_polynomial(monkeypatch):
           parse_scalar("2^(1/3)*a1^(1/2)/a2"), parse_scalar("3^(2/3)/a1^(1/2)")]
     for name in ("poly_mul", "poly_gcd", "poly_scale"):
         monkeypatch.setattr(scalars, name, None)
-    monkeypatch.setattr(Scalar, "make", None)
     for x in xs:
         for y in xs:
             x * y, x / y
