@@ -8,16 +8,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from katz_forge.classify import CLASSIFICATION_ROWS, EXCLUDED_ROW, classification_descriptor
-from katz_forge.engine import descriptor_to_json, ConnectionDescriptor
-from katz_forge.formal_type import FormalType
-from katz_forge.jordan import parse_jordan
-from katz_forge.scalars import parse_scalar
+from katz_forge.engine import descriptor_to_json, ConnectionDescriptor, parse_location
+from katz_forge.formal_type import parse_formal_type as reg
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "katz_forge", "goldens")
-
-
-def reg(text):
-    return FormalType.make(parse_jordan(text))
 
 
 STARTS = {
@@ -51,8 +45,7 @@ def main():
             json.dump(descriptor_to_json(c), fh, indent=1, sort_keys=True)
             fh.write("\n")
     for name, (pts, rank) in STARTS.items():
-        c = ConnectionDescriptor.make({parse_scalar(k) if k != "inf" else "inf": v
-                                       for k, v in pts.items()}, rank)
+        c = ConnectionDescriptor.make({parse_location(k): v for k, v in pts.items()}, rank)
         with open(os.path.join(OUT, f"{name}.json"), "w") as fh:
             json.dump(descriptor_to_json(c), fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -7,12 +7,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from katz_forge.cli import golden_path
-from katz_forge.engine import (load_descriptor, run_script, parse_script,
+from katz_forge.engine import (load_descriptor, read_text, run_script, parse_script,
                                render_location)
 from katz_forge.formal_type import render_formal_type
-
-E3_SCRIPT = ("mc i\ntwist i,1,1,-i\nfourier\nmoebius inv\ntwist i,-i\n"
-             "fourier\ntwist -1,-1\nmoebius inv\nfourier")
 
 
 def show(tag, start_name, script_text):
@@ -29,10 +26,8 @@ def show(tag, start_name, script_text):
 
 
 def main():
-    for tag, start in (("E1", "l1"), ("E2", "l2"), ("E4", "l4")):
-        with open(golden_path(tag.lower() + ".script")) as fh:
-            show(tag, start, fh.read())
-    show("E3", "l3", E3_SCRIPT)
+    for tag, start in (("E1", "l1"), ("E2", "l2"), ("E4", "l4"), ("E3", "l3")):
+        show(tag, start, read_text(golden_path(tag.lower() + ".script")))
 
 
 if __name__ == "__main__":

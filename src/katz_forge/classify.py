@@ -289,24 +289,22 @@ _PHANTOM_R2 = {
 }
 
 
-def solve_rigidity_tuples(r: int, table=None, z_regular=Z_REGULAR) -> list:
+def solve_rigidity_tuples(r: int) -> list:
     """All tuples (s_1..s_r, z_1..z_r) satisfying the rigidity equation
     2 = (2-r) 49 - sum(s) + sum(z) with one irregular point drawing its
     values from the published table and regular points drawing z from the
     regular-point table."""
     if r < 1:
         raise ValueError(f"rigidity tuples need R >= 1 singular points, got R = {r}")
-    if table is None:
-        table = enumerate_local_invariants()
     pairs = []
-    for row in table:
+    for row in enumerate_local_invariants():
         for s in sorted(row["irr"]):
             for z in sorted(row["soln"]):
                 pairs.append((s, z))
     found = set()
     n_reg = r - 1
     target = 2 - (2 - r) * 49
-    zs = sorted(z_regular)
+    zs = sorted(Z_REGULAR)
     for s, z in pairs:
         need = target + s - z  # sum of z over the regular points
         if not n_reg * zs[0] <= need <= n_reg * zs[-1]:
@@ -404,12 +402,8 @@ def _descriptor(name: str, found: dict):
     """The row's descriptor, each text of it parsed once per call."""
     z, i = _row(name)
     return ConnectionDescriptor.make(
-        {Scalar.rational(0): _once(found, _regular_type, z),
+        {Scalar.rational(0): _once(found, parse_formal_type, z),
          "inf": _once(found, parse_formal_type, i)}, 7)
-
-
-def _regular_type(text: str) -> FormalType:
-    return FormalType.make(parse_jordan(text))
 
 
 def adjoint_dim_at_zero(name: str) -> int:
@@ -511,8 +505,7 @@ def pullback_identities() -> dict:
     member = _e2_member()
     out["[3]*e4_4 == e2 member"] = pb3 == member
 
-    c3 = classification_descriptor("e3")
-    out["[1]* identity"] = kummer_pullback_descriptor(c3, 1) == c3
+    out["[1]* identity"] = kummer_pullback_descriptor(e3, 1) == e3
     out["ok"] = all(v for v in out.values())
     return out
 
@@ -542,6 +535,6 @@ def _subs_eig(e: Eigenvalue, subs: dict) -> Eigenvalue:
 
 def _e2_member():
     return ConnectionDescriptor.make(
-        {Scalar.rational(0): _regular_type(_row("e2")[0]),
+        {Scalar.rational(0): parse_formal_type(_row("e2")[0]),
          "inf": parse_formal_type("El(2, -a1, (1)) + El(2, zeta(6)^5*a1, (1)) "
                                   "+ El(2, (zeta(6)^5 - 1)*a1, (1)) + (-1)")}, 7)

@@ -14,8 +14,8 @@ import sys
 
 from .scalars import OutOfScopeError, ascii_int
 from .formal_type import render_formal_type
-from .engine import (ConnectionDescriptor, ContradictionError,
-                     descriptor_from_json, descriptor_to_json, parse_script, parse_step,
+from .engine import (ConnectionDescriptor, ContradictionError, descriptor_to_json,
+                     load_descriptor, parse_script, parse_step, read_text,
                      render_location, run_script)
 from . import classify
 
@@ -26,33 +26,6 @@ def golden_dir() -> str:
 
 def golden_path(name: str) -> str:
     return os.path.join(golden_dir(), name)
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise ValueError(f"no such file: {path}") from None
-
-
-def _load(path: str) -> ConnectionDescriptor:
-    try:
-        data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON in {path} at line {exc.lineno} column "
-                         f"{exc.colno} (char {exc.pos}): {exc.msg}") from None
-    except RecursionError:
-        raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
-    try:
-        c = descriptor_from_json(data)
-    except OutOfScopeError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"malformed descriptor in {path}: {exc}") from None
-    if not c.points:
-        raise ValueError(f"malformed descriptor in {path}: no singular points")
-    return c
 
 
 def _check_report(c: ConnectionDescriptor) -> dict:
@@ -71,7 +44,7 @@ def _check_report(c: ConnectionDescriptor) -> dict:
 
 
 def cmd_check(args) -> int:
-    c = _load(args.descriptor)
+    c = load_descriptor(args.descriptor)
     rep = _check_report(c)
     if args.json:
         print(json.dumps(rep, indent=2, sort_keys=True))
@@ -100,8 +73,8 @@ def _print_descriptor(c: ConnectionDescriptor, as_json: bool):
 
 
 def cmd_replay(args) -> int:
-    c = _load(args.descriptor)
-    steps = parse_script(_read(args.script))
+    c = load_descriptor(args.descriptor)
+    steps = parse_script(read_text(args.script))
     trace = run_script(c, steps)
     labels = ["start"] + [s.op for s in steps]
     if args.trace and args.json:
@@ -123,7 +96,7 @@ def cmd_step(args) -> int:
     """fourier, mc CHI and twist SPEC: the script step of that line, applied
     to one descriptor."""
     step = parse_step(f"{args.cmd} {args.step_args}")
-    _print_descriptor(step.apply(_load(args.descriptor)), args.json)
+    _print_descriptor(step.apply(load_descriptor(args.descriptor)), args.json)
     return 0
 
 
@@ -198,9 +171,17 @@ def cmd_pullback(args) -> int:
             for k, v in rep.items():
                 print(f"  {k}: {v}")
         return 0 if rep["ok"] else 1
-    _print_descriptor(classify.kummer_pullback_descriptor(_load(args.descriptor), args.k),
-                      args.json)
+    c = load_descriptor(args.descriptor)
+    _print_descriptor(classify.kummer_pullback_descriptor(c, args.k), args.json)
     return 0
+
+
+def _ascii_int(text: str) -> int:
+    """R and K, read as the integers of a descriptor are, in argparse's wording."""
+    try:
+        return ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify")
     p.add_argument("--tables", action="store_true")
-    p.add_argument("--tuples", type=ascii_int, default=None, metavar="R")
+    p.add_argument("--tuples", type=_ascii_int, default=None, metavar="R")
     p.add_argument("--profiles", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -241,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pullback")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("k", type=ascii_int, nargs="?")
+    p.add_argument("k", type=_ascii_int, nargs="?")
     p.add_argument("descriptor", nargs="?")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_pullback)

@@ -117,22 +117,12 @@ class ElementaryModule:
     def _orbit_min(self) -> "ElementaryModule":
         if self.p == 1 or not self.tail:
             return self
-        # zeta_p^k rotates the term of pole order j by zeta_p^(-jk).  Refine
-        # the candidates k term by term, leading pole order first, rotating
-        # once per residue -jk mod p; ties go to the smallest k.
-        p = self.p
-        ks = range(p)
-        rotated = {}
-        for j, a in sorted(self.tail, key=lambda t: -t[0]):
-            rot = rotated[j] = {}
-            for r in {-j * k % p for k in ks}:
-                b = a.times_unit(p, r)
-                rot[r] = (_pos_key(b), b)
-            least = min(key for key, _ in rot.values())
-            ks = [k for k in ks if rot[-j * k % p][0] == least]
-        k = ks[0]
-        tail = {j: rot[-j * k % p][1] for j, rot in rotated.items()}
-        return ElementaryModule.make(p, tail, self.r)
+        # the least rotated tail, its terms read from the leading pole order
+        # down; min keeps the smallest k on ties
+        js = sorted((j for j, _ in self.tail), reverse=True)
+        tail = min((self.rotated(k) for k in range(self.p)),
+                   key=lambda rot: [_pos_key(rot[j]) for j in js])
+        return ElementaryModule.make(self.p, tail, self.r)
 
     def rotated(self, k: int) -> dict:
         """The tail after the deck rotation u -> zeta_p^k u, which multiplies

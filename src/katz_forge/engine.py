@@ -50,14 +50,10 @@ class ConnectionDescriptor:
         items = []
         for loc, ft in points.items():
             if loc != INF and not isinstance(loc, Scalar):
-                loc = Scalar.rational(loc) if not isinstance(loc, str) else parse_scalar(loc)
-            if _is_trivial_type(ft):
-                continue
-            items.append((loc, ft))
+                raise ValueError(f"a location is a Scalar or {INF!r}, got {loc!r}")
+            if not _is_trivial_type(ft):
+                items.append((loc, ft))
         items.sort(key=lambda t: (1, ()) if t[0] == INF else (0, t[0].sort_key()))
-        locs = [l for l, _ in items]
-        if len(set(locs)) != len(locs):
-            raise ValueError("duplicate singular locations")
         return ConnectionDescriptor(require_int(rank, "rank"), tuple(items))
 
     def point(self, loc) -> FormalType:
@@ -389,6 +385,32 @@ def descriptor_from_json(d: dict) -> ConnectionDescriptor:
     return ConnectionDescriptor.make(pts, rank)
 
 
+def read_text(path: str) -> str:
+    """The text of the file at path; a missing file raises ValueError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"no such file: {path}") from None
+
+
 def load_descriptor(path: str) -> ConnectionDescriptor:
-    with open(path) as fh:
-        return descriptor_from_json(json.load(fh))
+    """The descriptor in the JSON file at path.  A missing file, malformed
+    JSON, a malformed descriptor and one without singular points raise
+    ValueError naming the path; an OutOfScopeError stays one."""
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path} at line {exc.lineno} column "
+                         f"{exc.colno} (char {exc.pos}): {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
+    try:
+        c = descriptor_from_json(data)
+    except OutOfScopeError:
+        raise
+    except Exception as exc:
+        raise ValueError(f"malformed descriptor in {path}: {exc}") from None
+    if not c.points:
+        raise ValueError(f"malformed descriptor in {path}: no singular points")
+    return c

@@ -209,11 +209,10 @@ class TestVerifyClassification:
         # 11 distinct texts at 0 and 4 at inf; the public descriptor keeps
         # parsing its row afresh
         parsed = []
-        for what in ("_regular_type", "parse_formal_type"):
-            def counted(text, _fn=getattr(classify, what)):
-                parsed.append(text)
-                return _fn(text)
-            monkeypatch.setattr(classify, what, counted)
+        def counted(text, _fn=classify.parse_formal_type):
+            parsed.append(text)
+            return _fn(text)
+        monkeypatch.setattr(classify, "parse_formal_type", counted)
         for _ in range(2):
             assert verify_classification()["ok"]
             assert len(parsed) == len(set(parsed)) == 15

@@ -11,11 +11,13 @@ rows are not reachable from descriptor JSON, so they go straight to
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import katz_forge
 from katz_forge.cli import golden_path, main
 from katz_forge.engine import parse_script
 from katz_forge.elementary import ElementaryModule, parse_elementary
@@ -179,7 +181,15 @@ CALLS = {
     "jordan_block_size_bool": "JordanData.make([(parse_eigenvalue('1'), True)])",
     "descriptor_rank_not_integer": "ConnectionDescriptor.make(dict(KUMMER.points), 7.9)",
     "descriptor_rank_bool": "ConnectionDescriptor.make(dict(KUMMER.points), True)",
+    # a location is a Scalar or 'inf'; parse_location reads text
+    "descriptor_location_int":
+        "ConnectionDescriptor.make({0: reg('(m)'), 'inf': reg('(m^-1)')}, 1)",
 }
+
+# files that load_descriptor refuses with a ValueError naming the path: None
+# is a missing file, the rest are written as JSON
+LOADS = {"missing": None, "list": [], "no_points_key": {"rank": 1},
+         "no_points": {"rank": 1, "points": {}}}
 
 
 def _typed_error(err: str) -> bool:
@@ -329,6 +339,15 @@ def test_fractional_zeta_power():
     assert parse_scalar("zeta(3)^(1/2)") == Scalar.zeta(3).root(2) == Scalar.zeta(6)
     assert parse_scalar("zeta(3)^(-1/2)") == Scalar.zeta(3, -1).root(2)
     assert parse_scalar("zeta(3)^2") == Scalar.zeta(3, 2)
+
+
+@pytest.mark.parametrize("name", sorted(LOADS))
+def test_load_descriptor_raises(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    if LOADS[name] is not None:
+        path.write_text(json.dumps(LOADS[name]))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        katz_forge.load_descriptor(str(path))
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
