@@ -342,13 +342,18 @@ FILTERED_R2 = (
 def g2_pattern_check(eigs) -> bool:
     """True iff the size-7 multiset equals {1, a, b, ab, a^-1, b^-1, (ab)^-1}
     for some a, b (necessary condition on semisimple parts of elements of
-    the standard 7-dimensional representation)."""
+    the standard 7-dimensional representation).  W(G2) acts transitively on
+    the six nonzero weights of V7, the places of a, b, ab and their
+    inverses, so a multiset that matches for some a, b also matches with a
+    set to any of its elements other than 1 (or 1 when there is none) and
+    some b from the multiset: only b is searched."""
     target = Counter(eigs)
     if sum(target.values()) != 7:
         raise ValueError("pattern check needs a multiset of size 7")
     one = Eigenvalue.one()
+    a = next((e for e in target if not e.is_one()), one)
     return any(Counter([one, a, b, a * b, a.inverse(), b.inverse(), (a * b).inverse()])
-               == target for a in target for b in target)
+               == target for b in target)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ tail.
 
 Invariant: a module whose ``normal`` flag is set is in canonical form, and
 ``normalize`` returns it unchanged.  Only ``normalize`` sets the flag (and
-``FormalType.make`` on a merge of two normal members with the same tail);
+``FormalType.make`` on a merge of two normal members with the same tail,
+and ``scale_eigenvalues``, which keeps it: both change R alone);
 ``ElementaryModule.make``, the parsers and every other constructor build
 raw modules.  The flag takes no part in equality or hashing, so a raw
 module and its equal normal form compare and hash equal.
@@ -145,8 +146,10 @@ class ElementaryModule:
         return self.normalize() == other.normalize()
 
     def scale_eigenvalues(self, eig: Eigenvalue) -> "ElementaryModule":
-        """Tensor with a rank-one regular of downstairs eigenvalue `eig`."""
-        return ElementaryModule.make(self.p, self.tail, self.r.scale(eig.pow(self.p)))
+        """Tensor with a rank-one regular of downstairs eigenvalue `eig`.
+        Scaling R keeps p and the tail, so a normal module stays normal."""
+        return ElementaryModule(self.p, self.tail, self.r.scale(eig.pow(self.p)),
+                                normal=self.normal)
 
     def pullback(self, k: int) -> list:
         """Kummer pullback along u -> u^k, as a list of normalized

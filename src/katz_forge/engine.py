@@ -386,12 +386,19 @@ def descriptor_from_json(d: dict) -> ConnectionDescriptor:
 
 
 def read_text(path: str) -> str:
-    """The text of the file at path; a missing file raises ValueError."""
+    """The text of the UTF-8 file at path; a missing file, any other file
+    that cannot be opened, such as a directory, and bytes that are not
+    UTF-8 raise ValueError naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}") from None
+    except OSError as exc:
+        # its text names the path: "[Errno 21] Is a directory: 'x'"
+        raise ValueError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def load_descriptor(path: str) -> ConnectionDescriptor:

@@ -265,6 +265,8 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_rational(q) -> "Cyclotomic":
+        if type(q) is int:
+            return Cyclotomic._raw(1, (q,), 1)
         q = Fraction(q)
         return Cyclotomic._raw(1, (q.numerator,), q.denominator)
 
@@ -352,9 +354,19 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def times_zeta(self, n: int, k: int) -> "Cyclotomic":
-        """self * zeta_n^k, read in Q(zeta_m), m the lcm of self.order and n."""
-        if k % n == 0:
+        """self * zeta_n^k, read in Q(zeta_m), m the lcm of self.order and n.
+        zeta_n^k = -1 (2k = 0 mod n) negates self.  A rational self scales
+        the table entry zeta_n^k: a root of unity has coprime integer
+        coordinates in the power basis of its minimal field, so its product
+        with a fraction in lowest terms is canonical as it stands."""
+        k %= n
+        if k == 0 or self.is_zero():
             return self
+        if 2 * k == n:
+            return -self
+        if self.order == 1:
+            z, a = _zeta(n, k), self.num[0]
+            return Cyclotomic._raw(z.order, tuple(a * x for x in z.num), self.den)
         m = lcm(self.order, n)
         return Cyclotomic._canonical(m, self._lift(m, k * (m // n)), self.den)
 
@@ -807,12 +819,18 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         if len(self.num) == len(self.den) == len(other.num) == len(other.den) == 1:
-            ((m1, c1),), ((d1, _),) = self.num, self.den
-            ((m2, c2),), ((d2, _),) = other.num, other.den
-            return _monomial(((m1, 1), (d1, -1), (m2, 1), (d2, -1)), c1 * c2,
-                             self.rad + other.rad)
+            return self._monomial_times(other, 1)
         return Scalar.make(poly_mul(self.numd(), other.numd()),
                            poly_mul(self.dend(), other.dend()), self.rad + other.rad)
+
+    def _monomial_times(self, other: "Scalar", k: int) -> "Scalar":
+        """self * other^k, k = 1 or -1, for two monomials: one ``_monomial``
+        call on the exponents of both."""
+        ((m1, c1),), ((d1, _),) = self.num, self.den
+        ((m2, c2),), ((d2, _),) = other.num, other.den
+        return _monomial(((m1, 1), (d1, -1), (m2, k), (d2, -k)),
+                         c1 * (c2 if k == 1 else c2.inverse()),
+                         self.rad + tuple((b, k * e) for b, e in other.rad))
 
     def times_unit(self, n: int, k: int) -> "Scalar":
         """self * zeta_n^k, without the gcd of ``make``: a unit leaves num
@@ -825,6 +843,8 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
+        if len(self.num) == len(self.den) == len(other.num) == len(other.den) == 1:
+            return self._monomial_times(other, -1)
         return self * Scalar.make(other.dend(), other.numd(), tuple((b, -e) for b, e in other.rad))
 
     def __pow__(self, n: int) -> "Scalar":
@@ -845,6 +865,14 @@ class Scalar:
             raise ValueError("root index must be >= 1")
         if p == 1 or self.is_zero():
             return self
+        if len(self.num) == len(self.den) == 1:
+            # a monomial: a root of unity, prime radicals and the symbol
+            # exponents over p, which raised to the p-th power give self back
+            # by construction, so this root needs no check
+            ((m, c),), ((d, _),) = self.num, self.den
+            z, rad = _term_root(m, c, p)
+            return _monomial((), z, [*((b, e / p) for b, e in self.rad), *rad,
+                                     *((("sym", s), _exponent(-e, p)) for s, e in d)])
         npart, nrad = _poly_radical_root(self.numd(), p)
         dpart, drad = _poly_radical_root(self.dend(), p)
         out = Scalar.make(npart, dpart, [(b, e / p) for b, e in self.rad] + nrad
@@ -908,32 +936,35 @@ def _poly_radical_root(a: dict, p: int):
     """p-th root of a polynomial allowing radical output: factors into
     monomial x cyclotomic-unit x rational x primitive-poly, roots each.
     A single term is its own monomial and coefficient, with no primitive
-    part.  Returns (poly part, radical pairs): each symbol of the monomial
-    and each prime of the rational as (base, e/p), an int when p | e,
-    whose integer parts `_monomial` carries."""
+    part.  Returns (poly part, radical pairs) as ``_term_root`` does."""
     if not a:
         return {}, []
     if len(a) == 1:
         (gm, lc), = a.items()
-        rest = None
-    else:
-        gm = _mono_gcd_all(a)
-        rest = poly_divexact(a, {gm: ONE_C}) if gm else a
-        _, lc = poly_leading(rest)
-        rest = poly_scale(rest, lc.inverse())
-    ur = lc.as_unit_times_rational()
+        z, rad = _term_root(gm, lc, p)
+        return {(): z}, rad
+    gm = _mono_gcd_all(a)
+    rest = poly_divexact(a, {gm: ONE_C}) if gm else a
+    _, lc = poly_leading(rest)
+    z, rad = _term_root(gm, lc, p)
+    return poly_mul({(): z}, poly_root(poly_scale(rest, lc.inverse()), p)), rad
+
+
+def _term_root(mono, c: Cyclotomic, p: int):
+    """p-th root of the term c * mono, c a root of unity times a rational q:
+    (a root of unity, radical pairs), each symbol of mono and each prime of
+    q as (base, e/p), an int when p | e, whose integer parts `_monomial`
+    carries."""
+    ur = c.as_unit_times_rational()
     if ur is None:
         raise IrrationalRootError("coefficient is not unit times rational")
     q, t = ur
     t /= p
     # q is in lowest terms: a denominator prime has a negative exponent
-    rad = [*((("sym", s), _exponent(e, p)) for s, e in gm),
+    rad = [*((("sym", s), _exponent(e, p)) for s, e in mono),
            *((("prime", prime), _exponent(e, p)) for prime, e in _factor(q.numerator).items()),
            *((("prime", prime), _exponent(-e, p)) for prime, e in _factor(q.denominator).items())]
-    out = {(): Cyclotomic.zeta(t.denominator, t.numerator)}
-    if rest is not None:
-        out = poly_mul(out, poly_root(rest, p))
-    return out, rad
+    return Cyclotomic.zeta(t.denominator, t.numerator), rad
 
 
 # Trial division stops at this bound; every integer below its square is

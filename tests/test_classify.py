@@ -1,8 +1,11 @@
 import os
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from katz_forge.scalars import parse_eigenvalue
+from katz_forge.scalars import Eigenvalue, parse_eigenvalue
 from katz_forge import classify
 from katz_forge.classify import (enumerate_slope_profiles, candidate_shapes,
                                  computed_local_invariants,
@@ -163,6 +166,35 @@ class TestPatternCheck:
     def test_size_check(self):
         with pytest.raises(ValueError):
             g2_pattern_check(eigs("1", "1"))
+
+
+def _pattern_by_all_pairs(eigs):
+    """The G2 pattern check trying every a and every b of the multiset: the
+    oracle of the search over b alone."""
+    target = Counter(eigs)
+    one = Eigenvalue.one()
+    return any(Counter([one, a, b, a * b, a.inverse(), b.inverse(), (a * b).inverse()])
+               == target for a in target for b in target)
+
+
+# zeta_6^k x^i, |i| <= 1: a group small enough that drawn multisets match
+_EIG = st.builds(lambda k, i: Eigenvalue.make(Fraction(k, 6), (("x", i),)),
+                 st.integers(0, 5), st.integers(-1, 1))
+
+
+def _pattern(a, b):
+    return [Eigenvalue.one(), a, b, a * b, a.inverse(), b.inverse(), (a * b).inverse()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(_EIG, min_size=7, max_size=7),
+    st.builds(_pattern, _EIG, _EIG),
+    # a pattern with one member replaced
+    st.builds(lambda a, b, i, e: _pattern(a, b)[:i] + [e] + _pattern(a, b)[i + 1:],
+              _EIG, _EIG, st.integers(0, 6), _EIG)).flatmap(st.permutations))
+def test_pattern_check_matches_all_pairs(eigs):
+    assert g2_pattern_check(eigs) == _pattern_by_all_pairs(eigs)
 
 
 class TestVerifyClassification:

@@ -274,6 +274,18 @@ def test_normalize_sets_flag_and_is_idempotent(e):
     assert _raw_copy(e).normalize() == n
 
 
+@settings(max_examples=60, deadline=None)
+@given(_modules(), st.sampled_from([parse_eigenvalue(t) for t in
+                                    ("-1", "zeta(3)", "l", "zeta(4)*x^-1", "l^(1/2)")]))
+def test_scaling_a_normal_module_keeps_it_normal(e, eig):
+    n = e.normalize()
+    s = n.scale_eigenvalues(eig)
+    assert s.normal and s.normalize() is s
+    assert s == ElementaryModule.make(n.p, n.tail, n.r.scale(eig.pow(n.p))).normalize()
+    assert _raw_copy(s).normalize() == s
+    assert not e.scale_eigenvalues(eig).normal or e.normal
+
+
 @settings(max_examples=40, deadline=None)
 @given(_modules(), st.integers(0, 5))
 def test_iso_eq_is_equality_of_normal_forms(e, k):

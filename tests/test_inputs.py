@@ -187,9 +187,21 @@ CALLS = {
 }
 
 # files that load_descriptor refuses with a ValueError naming the path: None
-# is a missing file, the rest are written as JSON
+# is a missing file, a callable makes the path itself, the rest are written
+# as JSON
 LOADS = {"missing": None, "list": [], "no_points_key": {"rank": 1},
-         "no_points": {"rank": 1, "points": {}}}
+         "no_points": {"rank": 1, "points": {}},
+         "not_utf8": lambda path: path.write_bytes(b"\xff{}"),
+         "directory": lambda path: path.mkdir()}
+
+
+def _make_load(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    if callable(LOADS[name]):
+        LOADS[name](path)
+    elif LOADS[name] is not None:
+        path.write_text(json.dumps(LOADS[name]))
+    return path
 
 
 def _typed_error(err: str) -> bool:
@@ -343,11 +355,16 @@ def test_fractional_zeta_power():
 
 @pytest.mark.parametrize("name", sorted(LOADS))
 def test_load_descriptor_raises(name, tmp_path):
-    path = tmp_path / f"{name}.json"
-    if LOADS[name] is not None:
-        path.write_text(json.dumps(LOADS[name]))
+    path = _make_load(name, tmp_path)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         katz_forge.load_descriptor(str(path))
+
+
+def test_check_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = _make_load("not_utf8", tmp_path)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert _typed_error(err) and str(path) in err
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

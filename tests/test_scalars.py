@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import katz_forge.scalars as scalars
 from katz_forge.scalars import (Cyclotomic, Scalar, Eigenvalue, ONE, ZERO,
@@ -357,6 +357,8 @@ def test_monomial_product_and_quotient_match_the_polynomial_route(x, y):
                                x.rad + y.rad))
     _same(x / y, _carried_make(poly_mul(x.numd(), y.dend()), poly_mul(x.dend(), y.numd()),
                                x.rad + tuple((b, -e) for b, e in y.rad)))
+    # the quotient as the product with the inverse that make builds
+    _same(x / y, x * Scalar.make(y.dend(), y.numd(), tuple((b, -e) for b, e in y.rad)))
 
 
 # f, g, h in three symbols over Q(zeta_n), n <= 4
@@ -407,6 +409,49 @@ def test_monomial_root_matches_the_general_route(x, p):
     _same(fast, lifted.root(p) / (ONE + _D))
 
 
+def _checked_root(x, p):
+    """The p-th root of x by the route of any root: the radical roots of num
+    and den joined by Scalar.make, then checked by raising the result to
+    the p-th power."""
+    if p == 1:
+        return x
+    npart, nrad = scalars._poly_radical_root(x.numd(), p)
+    dpart, drad = scalars._poly_radical_root(x.dend(), p)
+    out = Scalar.make(npart, dpart, [(b, e / p) for b, e in x.rad] + nrad
+                      + [(b, -e) for b, e in drad])
+    if out ** p != x:
+        raise IrrationalRootError(f"{render_scalar(x)} has no {p}-th root")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_scalar(st.one_of(_unit_times_rational(12), _cyclotomic)), st.integers(1, 7))
+def test_monomial_root_matches_the_checked_route(x, p):
+    # symbols a and c, radicals of 2, 3, a and c, coefficients q zeta_n^k
+    # with n <= 12 over others of the kind (or any, which has no root)
+    try:
+        fast = x.root(p)
+    except OutOfScopeError as exc:
+        with pytest.raises(type(exc)):
+            _checked_root(x, p)
+        return
+    _same(fast, _checked_root(x, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_nonzero_rational.map(Cyclotomic.from_rational),
+                 st.just(Cyclotomic.from_rational(0)), _cyclotomic), st.integers(1, 24))
+def test_times_zeta_matches_the_lifted_product(c, n):
+    # the product read in Q(zeta_m) from the coordinates of c lifted to it;
+    # m is bounded so that the subfield tables stay small
+    m = lcm(c.order, n)
+    assume(m <= 72)
+    for k in range(-n, n + 1):
+        want = Cyclotomic._canonical(m, c._lift(m, k * (m // n)), c.den)
+        got = c.times_zeta(n, k)
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
 def test_root_of_a_non_unit_coefficient_raises():
     # |1 + zeta_5| is the golden ratio: no rational times a root of unity
     x = Scalar.from_cyclotomic(Cyclotomic.zeta(5) + 1) * A1
@@ -433,8 +478,8 @@ def test_monomial_root_divides_no_polynomial(monkeypatch):
     counted(Scalar, "__pow__")
     roots = [x.root(p) for x in xs for p in (2, 3, 6)]
     assert calls["poly_divexact"] == 0 and calls["poly_root"] == 0
-    # every root checks itself: one power per root, each of a monomial
-    assert calls["__pow__"] == len(roots)
+    # a monomial root is exact by exponent arithmetic: it takes no power
+    assert calls["__pow__"] == 0
     assert all(len(r.num) == 1 and len(r.den) == 1 for r in roots)
 
 
