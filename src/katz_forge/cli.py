@@ -63,13 +63,20 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _print_descriptor(c: ConnectionDescriptor, as_json: bool):
+def _point_lines(c: ConnectionDescriptor, indent: str) -> list:
+    return [f"{indent}{render_location(loc)}: {render_formal_type(ft)}" for loc, ft in c.points]
+
+
+# Output is rendered whole before any of it is printed, so that an error
+# while rendering leaves stdout empty.
+
+def _print_descriptor(c: ConnectionDescriptor, as_json: bool, before=()):
+    """Print the lines `before`, then c as text or JSON."""
     if as_json:
-        print(json.dumps(descriptor_to_json(c), indent=2, sort_keys=True))
+        text = json.dumps(descriptor_to_json(c), indent=2, sort_keys=True)
     else:
-        print(f"rank {c.rank}")
-        for loc, ft in c.points:
-            print(f"  {render_location(loc)}: {render_formal_type(ft)}")
+        text = "\n".join([f"rank {c.rank}", *_point_lines(c, "  ")])
+    print("\n".join([*before, text]))
 
 
 def cmd_replay(args) -> int:
@@ -79,16 +86,15 @@ def cmd_replay(args) -> int:
     labels = ["start"] + [s.op for s in steps]
     if args.trace and args.json:
         # JSON lines, one record per step; the last holds the final descriptor
-        for i, (label, d) in enumerate(zip(labels, trace)):
-            print(json.dumps({"step": i, "op": label, "rank": d.rank,
-                              "descriptor": descriptor_to_json(d)}, sort_keys=True))
+        print("\n".join(json.dumps({"step": i, "op": label, "rank": d.rank,
+                                    "descriptor": descriptor_to_json(d)}, sort_keys=True)
+                        for i, (label, d) in enumerate(zip(labels, trace))))
         return 0
+    before = []
     if args.trace:
         for label, d in zip(labels, trace):
-            print(f"--- {label} (rank {d.rank})")
-            for loc, ft in d.points:
-                print(f"    {render_location(loc)}: {render_formal_type(ft)}")
-    _print_descriptor(trace[-1], args.json)
+            before += [f"--- {label} (rank {d.rank})", *_point_lines(d, "    ")]
+    _print_descriptor(trace[-1], args.json, before)
     return 0
 
 
@@ -101,65 +107,59 @@ def cmd_step(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    did = False
+    out, code = [], 0
     if args.profiles:
-        did = True
         rows = classify.enumerate_slope_profiles()
         if args.json:
-            print(json.dumps([[ [str(s), d] for s, d in row] for row in rows]))
+            out.append(json.dumps([[ [str(s), d] for s, d in row] for row in rows]))
         else:
-            print("slopes & dimensions")
-            for row in rows:
-                print("  " + ",".join(str(s) for s, _ in row).ljust(12)
-                      + " | " + ",".join(str(d) for _, d in row))
+            out.append("slopes & dimensions")
+            out += ["  " + ",".join(str(s) for s, _ in row).ljust(12)
+                    + " | " + ",".join(str(d) for _, d in row) for row in rows]
     if args.tables:
-        did = True
         rows = classify.enumerate_local_invariants()
         if args.json:
-            print(json.dumps([{"slopes": [str(s) for s in r["slopes"]],
-                               "dims": list(r["dims"]),
-                               "soln": sorted(r["soln"]),
-                               "irr": sorted(r["irr"])} for r in rows]))
+            out.append(json.dumps([{"slopes": [str(s) for s in r["slopes"]],
+                                    "dims": list(r["dims"]),
+                                    "soln": sorted(r["soln"]),
+                                    "irr": sorted(r["irr"])} for r in rows]))
         else:
-            print("slopes | dims | dim Soln(END) | irr(END)")
-            for r in rows:
-                print("  " + ",".join(str(s) for s in r["slopes"]).ljust(10)
-                      + " | " + ",".join(str(d) for d in r["dims"]).ljust(5)
-                      + " | " + ",".join(str(x) for x in sorted(r["soln"])).ljust(16)
-                      + " | " + ",".join(str(x) for x in sorted(r["irr"])))
+            out.append("slopes | dims | dim Soln(END) | irr(END)")
+            out += ["  " + ",".join(str(s) for s in r["slopes"]).ljust(10)
+                    + " | " + ",".join(str(d) for d in r["dims"]).ljust(5)
+                    + " | " + ",".join(str(x) for x in sorted(r["soln"])).ljust(16)
+                    + " | " + ",".join(str(x) for x in sorted(r["irr"])) for r in rows]
     if args.tuples is not None:
-        did = True
         tups = classify.solve_rigidity_tuples(args.tuples)
         if args.json:
-            print(json.dumps(tups))
+            out.append(json.dumps(tups))
         else:
-            print(f"r = {args.tuples}: {len(tups)} tuples")
-            for t in tups:
-                print("  " + str(t))
+            out.append(f"r = {args.tuples}: {len(tups)} tuples")
+            out += ["  " + str(t) for t in tups]
     if args.verify:
-        did = True
         rep = classify.verify_classification()
         if args.json:
-            print(json.dumps(rep, indent=2, sort_keys=True, default=str))
+            out.append(json.dumps(rep, indent=2, sort_keys=True, default=str))
         else:
             for name, _, _ in classify.CLASSIFICATION_ROWS:
                 r = rep[name]
                 chi = r.get("lambda3_chi", "-")
-                print(f"  {name}: rig={r['rig']} self_dual={r['self_dual']} "
-                      f"det_trivial={r['det_trivial']} torus={r['torus_dim']} "
-                      f"pattern={r['pattern_zero'] and r['pattern_inf']} "
-                      f"lambda3_chi={chi} -> {'PASS' if r['pass'] else 'FAIL'}")
+                out.append(f"  {name}: rig={r['rig']} self_dual={r['self_dual']} "
+                           f"det_trivial={r['det_trivial']} torus={r['torus_dim']} "
+                           f"pattern={r['pattern_zero'] and r['pattern_inf']} "
+                           f"lambda3_chi={chi} -> {'PASS' if r['pass'] else 'FAIL'}")
             ex = rep["excluded"]
-            print(f"  excluded: rig={ex['rig']} adjoint_dim={ex['adjoint_dim']} != "
-                  f"{classify.adjoint_dim_at_zero('e2')} -> "
-                  f"{'PASS' if ex['pass'] else 'FAIL (excluded as required)'}")
+            out.append(f"  excluded: rig={ex['rig']} adjoint_dim={ex['adjoint_dim']} != "
+                       f"{classify.adjoint_dim_at_zero('e2')} -> "
+                       f"{'PASS' if ex['pass'] else 'FAIL (excluded as required)'}")
         if not rep["ok"]:
-            return 1
-    if not did:
+            code = 1
+    if not out:
         print("classify: nothing to do (use --tables, --tuples R, --profiles or --verify)",
               file=sys.stderr)
         return 2
-    return 0
+    print("\n".join(out))
+    return code
 
 
 def cmd_pullback(args) -> int:

@@ -11,7 +11,13 @@ Conventions are pinned so that the construction schemes replay verbatim:
   twist by (-1)^q;
 * slope-(<1) and regular content at infinity returns to the finite point 0,
   slope-1 unramified content El(1, c/theta, R) returns to the finite point
-  c as the regular piece El(1, 0, R).
+  c as the regular piece El(1, 0, R);
+* both directions read the transformed coefficient in coefficient-one
+  coordinates, with one root per piece: from 0 the (p+q)-th root of
+  ((p+q)/p)^(p+q) (p/q)^q a^p, and at infinity the root that inverts it.
+  Any root of that power gives the same normal form, because the deck
+  rotations reach them all;
+* the epsilon twist z -> -z at infinity is the substitution u -> zeta_{2p} u.
 
 The paper's sources use conflicting global signs; these choices reproduce
 every replay table bit-exactly.
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, Eigenvalue, ONE, OutOfScopeError
+from .scalars import Scalar, Eigenvalue, OutOfScopeError
 from .jordan import JordanData
 from .elementary import ElementaryModule
 
@@ -60,15 +66,23 @@ def _single_term(e: ElementaryModule):
 
 def sabbah_transform_raw(e: ElementaryModule) -> ElementaryModule:
     """F^(0,infty) of an irregular elementary module, *not* normalized (so
-    a shift term can still be attached at the top pole order)."""
+    a shift term can still be attached at the top pole order).
+
+    In coefficient-one coordinates the tail ((p+q)/p) a on the cover
+    (p/(q a)) u^(p+q) is b = (k a^p)^(1/(p+q)), k = ((p+q)/p)^(p+q) (p/q)^q,
+    up to a (p+q)-th root of unity.  The normal input has gcd(p, q) = 1, so
+    the deck rotations multiply b by every (p+q)-th root of unity, and all
+    these b share one normal form; a shift at pole order p+q is fixed by
+    every rotation."""
     e = e.normalize()
     if e.is_regular():
         raise OutOfScopeError("regular input: use the vanishing-cycle path")
     q, a = _single_term(e)
     p = e.p
-    tail = {q: Scalar.rational(Fraction(p + q, p)) * a}
+    k = Fraction(p + q, p) ** (p + q) * Fraction(p, q) ** q
+    b = (Scalar.rational(k) * a ** p).root(p + q)
     r = e.r.scale(Eigenvalue.make(Fraction(q, 2)))
-    return ElementaryModule.make(p + q, tail, r, Scalar.rational(Fraction(p, q)) / a)
+    return ElementaryModule.make(p + q, {q: b}, r)
 
 
 def lft_zero_to_inf(e: ElementaryModule) -> ElementaryModule:
@@ -87,9 +101,11 @@ def lft_shifted(e: ElementaryModule, s: Scalar) -> ElementaryModule:
 
 def epsilon_twist_inf(e: ElementaryModule) -> ElementaryModule:
     """Pullback along z -> -z of a piece of an infinity formal type: the
-    same module on the cover -u^p."""
+    same module on the cover -u^p, which is the substitution
+    u -> zeta_{2p} u, zeta_{2p}^p = -1, multiplying the term of pole order
+    j by zeta_{2p}^j.  The result is raw."""
     e = e.normalize()
-    return ElementaryModule.make(e.p, e.tail, e.r, -ONE)
+    return ElementaryModule(e.p, tuple((j, a.times_unit(2 * e.p, j)) for j, a in e.tail), e.r)
 
 
 def lft_inf_to_s(e: ElementaryModule):
@@ -110,7 +126,9 @@ def lft_inf_to_s(e: ElementaryModule):
     # slope < 1: invert the Sabbah formulas; the content came from 0
     p0 = e.p - q
     _, ahat = _single_term(e)
+    # one p0-th root: gcd(q, p0) = gcd(q, p) = 1, so the deck rotations
+    # reach every p0-th root of the product and all share one normal form
     base = ahat * Scalar.rational(Fraction(p0, e.p))
-    a0 = (base ** e.p).root(p0) * (Scalar.rational(Fraction(q, p0)) ** q).root(p0)
+    a0 = (base ** e.p * Scalar.rational(Fraction(q, p0) ** q)).root(p0)
     r0 = e.r.scale(Eigenvalue.make(Fraction(q, 2)))
     return Scalar.rational(0), ElementaryModule.make(p0, {q: a0}, r0).normalize()

@@ -848,6 +848,8 @@ class Scalar:
         return self * Scalar.make(other.dend(), other.numd(), tuple((b, -e) for b, e in other.rad))
 
     def __pow__(self, n: int) -> "Scalar":
+        if n == 1:
+            return self
         if len(self.num) == 1 and len(self.den) == 1:
             # a monomial: its exponents times n, its coefficient to the |n|
             ((m, c),), ((d, _),) = self.num, self.den
@@ -870,6 +872,10 @@ class Scalar:
             # exponents over p, which raised to the p-th power give self back
             # by construction, so this root needs no check
             ((m, c),), ((d, _),) = self.num, self.den
+            if c.order == 1 and not self.rad:
+                out = _perfect_power_root(m, d, c, p)
+                if out is not None:
+                    return out
             z, rad = _term_root(m, c, p)
             return _monomial((), z, [*((b, e / p) for b, e in self.rad), *rad,
                                      *((("sym", s), _exponent(-e, p)) for s, e in d)])
@@ -889,6 +895,25 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({render_scalar(self)})"
+
+
+def _perfect_power_root(m, d, c: Cyclotomic, p: int):
+    """The p-th root of the monomial c * m / d, c rational, when every
+    exponent of m and d is a multiple of p and |c| is a p-th power of a
+    rational, else None.  The exponents over p and the integer roots are
+    the root; a negative sign is the torsion 1/2 over p, zeta_{2p}, as in
+    ``_term_root``."""
+    if any(e % p for _, e in m) or any(e % p for _, e in d):
+        return None
+    n, k = abs(c.num[0]), c.den
+    rn, rk = _iroot(n, p), _iroot(k, p)
+    if rn ** p != n or rk ** p != k:
+        return None
+    coef = Cyclotomic._raw(1, (rn,), rk)
+    if c.num[0] < 0:
+        coef = coef.times_zeta(2 * p, 1)
+    return Scalar(((tuple((s, e // p) for s, e in m), coef),),
+                  ((tuple((s, e // p) for s, e in d), ONE_C),))
 
 
 def _monomial(parts, coef: Cyclotomic, rad=()) -> Scalar:

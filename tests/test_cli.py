@@ -305,6 +305,25 @@ class TestErrorBoundary:
         self._error(*invoke(capsys, "replay", "/nonexistent/x.script", golden_path("l1.json")),
                     "no such file: /nonexistent/x.script")
 
+    # a location whose coefficient has more digits than Python converts to
+    # text: the error comes while rendering, after the points before it
+    BIG_POINT = {"rank": 1, "points": {"0": {"regular": [["-1", 1]], "irregular": []},
+                                       "3^10000*a1": {"regular": [["-1", 1]],
+                                                      "irregular": []}}}
+
+    @pytest.mark.parametrize("argv", [("fourier",),
+                                      ("replay", golden_path("e4.script"), "--trace")])
+    def test_render_error_prints_no_partial_output(self, argv, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(self.BIG_POINT))
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_classify_prints_no_table_before_an_error(self, capsys):
+        self._error(*invoke(capsys, "classify", "--profiles", "--tuples", "0"),
+                    "rigidity tuples need R >= 1 singular points, got R = 0")
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys):

@@ -144,9 +144,12 @@ CALLS_SETUP = ("from katz_forge import Cyclotomic, ConnectionDescriptor, Element
                "parse_scalar\n"
                "from katz_forge.classify import CandidateShape\n"
                "from katz_forge.elementary import parse_elementary\n"
+               "from katz_forge.engine import op_fourier, op_moebius\n"
                "from katz_forge.fourier import lft_inf_to_s\n"
                "def reg(t):\n"
                "    return FormalType.make(parse_jordan(t))\n"
+               "def irr(t):\n"
+               "    return FormalType.make(JordanData.zero(), [parse_elementary(t)])\n"
                "KUMMER = ConnectionDescriptor.make("
                "{parse_scalar('0'): reg('(m)'), 'inf': reg('(m^-1)')}, 1)\n")
 CALLS = {
@@ -169,6 +172,20 @@ CALLS = {
     # a slope-(<1) piece at infinity with two tail terms: inverting its top
     # term alone would drop b/u
     "lft_inf_to_s_two_term_tail": "lft_inf_to_s(parse_elementary('El(3, a/u^2 + b/u, (1))'))",
+    # the transport refuses what it cannot carry with OutOfScopeError
+    "moebius_inv_irregular_away_from_0_and_inf":
+        "op_moebius(ConnectionDescriptor.make({parse_scalar('1'): irr('El(1, a/u, (1))'),"
+        " 'inf': reg('(1)')}, 1), 'inv')",
+    "fourier_slope_above_1_at_inf":
+        "op_fourier(ConnectionDescriptor.make({parse_scalar('0'): reg('(m)'),"
+        " 'inf': irr('El(1, a/u^2, (m^-1))')}, 1))",
+    "lft_inf_to_s_slope_2": "lft_inf_to_s(parse_elementary('El(1, a/u^2, (1))'))",
+    "lft_inf_to_s_ramified_slope_1":
+        "lft_inf_to_s(parse_elementary('El(2, a/u^2 + b/u, (1))'))",
+    # and IrrationalRootError for a polynomial that is no square: its
+    # leading monomial is none, or it is one and the polynomial is not
+    "root_leading_monomial_not_a_square": "parse_scalar('a+b').root(2)",
+    "root_polynomial_not_a_square": "parse_scalar('a^2+b').root(2)",
     # sizes that are not ints, which int() would truncate to a valid value
     "elementary_p_not_integer":
         "ElementaryModule.make(2.5, {1: parse_scalar('a')}, parse_jordan('(1)'))",
