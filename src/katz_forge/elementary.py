@@ -40,18 +40,6 @@ def _tail_pack(tail: dict) -> tuple:
                         if not a.is_zero()))
 
 
-def _pos_key(s: Scalar):
-    """Scalar ordering that prefers positive rational parts, so canonical
-    orbit representatives read naturally (a1 before -a1).  It reads integer
-    numerators: ``_orbit_min`` compares rotations of one scalar, which keep
-    each coefficient's denominator, so at equal order they order as the
-    coordinates do."""
-    def poly_key(t):
-        return tuple((m, c.order, tuple((x < 0, abs(x)) for x in c.num))
-                     for m, c in t)
-    return (s.rad, poly_key(s.den), poly_key(s.num))
-
-
 @dataclass(frozen=True)
 class ElementaryModule:
     p: int
@@ -119,11 +107,16 @@ class ElementaryModule:
         if self.p == 1 or not self.tail:
             return self
         # the least rotated tail, its terms read from the leading pole order
-        # down; min keeps the smallest k on ties
+        # down; min keeps the smallest k on ties.  A rotation multiplies the
+        # coefficients of num alone, keeping each term's radical, den and
+        # monomials: only the orders and integer numerators of num decide,
+        # the positive rational parts first (a1 before -a1)
         js = sorted((j for j, _ in self.tail), reverse=True)
         tail = min((self.rotated(k) for k in range(self.p)),
-                   key=lambda rot: [_pos_key(rot[j]) for j in js])
-        return ElementaryModule.make(self.p, tail, self.r)
+                   key=lambda rot: [[(c.order, [(x < 0, abs(x)) for x in c.num])
+                                     for _, c in rot[j].num] for j in js])
+        # the rotation keeps the pole orders: the tail stays sorted and zero-free
+        return ElementaryModule(self.p, tuple((j, tail[j]) for j, _ in self.tail), self.r)
 
     def rotated(self, k: int) -> dict:
         """The tail after the deck rotation u -> zeta_p^k u, which multiplies

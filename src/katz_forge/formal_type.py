@@ -12,25 +12,26 @@ dimensions via centralizers, self-duality and determinant checks, formal
 monodromy, exponential-torus dimension and exterior cubes.
 
 ``hom``, ``end`` and ``exterior_cube`` return ``Counts`` (rank, irr,
-dim Soln), read from the aligned Hom tails and the members' Jordan blocks
-with no Hom module built: all that a rigidity index or an Euler
-characteristic reads.  ``tensor`` is the one product built as a module, a
-normalized, merged FormalType; it builds the head of a Lambda^3 term, the
-product of its factors but the last.  Within one ``exterior_cube`` call
-each piece's Lambda^k, each head and the duals of each last factor are
-built once.  ``summands`` reads the regular part as the piece El(1, 0, R),
-so Hom, tensor and Lambda^3 walk one kind of piece.
+dim Soln), with no module built: all that a rigidity index or an Euler
+characteristic reads.  Hom and End are read from the aligned Hom tails and
+the members' Jordan blocks.  Lambda^3 is read from the lines of the formal
+solutions on one common cover (Levelt-Turrittin): one walk over the
+T-orbits of the 3-element picks of lines, T the formal monodromy.
+``tensor`` builds a product as a module, a normalized, merged FormalType;
+no invariant here calls it.  ``summands`` reads the regular part as the
+piece El(1, 0, R), so Hom and Lambda^3 walk one kind of piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm
 
-from .scalars import (Scalar, Eigenvalue, OutOfScopeError, render_scalar, parse_scalar,
-                      render_eigenvalue, parse_eigenvalue, ascii_int, row_reduce, split_top)
+from .scalars import (Scalar, Eigenvalue, OutOfScopeError, IrrationalSumError, poly_add,
+                      render_scalar, parse_scalar, render_eigenvalue, parse_eigenvalue,
+                      ascii_int, row_reduce, split_top)
 from .jordan import JordanData, render_jordan, parse_jordan
 from .elementary import (ElementaryModule, DetData, el_hom, hom_counts,
                          render_elementary, parse_elementary)
@@ -159,14 +160,70 @@ class FormalType:
                                [h for d in duals for a in xs for h in el_hom(d, a)])
 
     def exterior_cube(self) -> "Counts":
-        """The counts of Lambda^3: each term's last tensor is read as the
-        counts of Hom(last^vee, head)."""
-        total = Counts(0, 0, 0)
-        for head, last, last_duals in _cube_terms(self):
-            total = total + (
-                Counts(last.rank(), last.irregularity(), last.soln_dim()) if head is None
-                else _hom_counts(last_duals, head.summands()))
-        return total
+        """The counts of Lambda^3, read from the lines of the formal
+        solutions on the cover of order n, the lcm of the ramified p
+        (Levelt-Turrittin), with no module built.  Each ramified summand
+        splits into one piece El(p, phi, (lam)) per Jordan block, of size 1:
+        its p lines have the exponents of ``_cube_choices``, and the formal
+        monodromy T sends line l to line l + 1 and line p - 1 to lam times
+        line 0.  An unramified summand, the regular part El(1, 0, R0) among
+        them, is one group.  A pick chooses k_i lines or vectors of each
+        piece, the k_i summing to 3.  Its exponent sums each piece's own
+        choice, then the pieces in the order of ``summands``, so that it
+        refuses different radical parts where a sum of modules does.  irr
+        is the sum over the picks of dimension times the top pole order,
+        over n.  dim Soln sums over the T-orbits of the picks of exponent
+        zero, T moving each subset by +1: an orbit of length c adds the
+        invariants of mu A^c, A the tensor product of the chosen groups'
+        Lambda^k R and mu the product over the c steps of lam (-1)^(k-1)
+        for each piece whose subset holds p - 1."""
+        pieces = []
+        for e in self.summands():
+            if e.p == 1:
+                pieces.append(e)
+                continue
+            for eig, size in e.r.blocks:
+                if size > 1:
+                    raise OutOfScopeError(
+                        f"unsupported exterior power: ramified summand {render_elementary(e)} "
+                        "has a Jordan block of size > 1")
+                pieces.append(ElementaryModule(e.p, e.tail, JordanData.single(eig)))
+        n = lcm(*(e.p for e in pieces))
+        choices: dict = {}  # (piece index, k) -> its choices, built once per call
+        irr = soln = 0
+        for trio in combinations_with_replacement(range(len(pieces)), 3):
+            parts = [(i, trio.count(i)) for i in dict.fromkeys(trio)]
+            if any(k > pieces[i].rank() for i, k in parts):
+                continue
+            picks = [((), 1, {})]
+            for key in parts:
+                if key not in choices:
+                    choices[key] = _cube_choices(pieces[key[0]], key[1], n)
+                picks = [(subsets + (s,), dim * d, _add_exponents(acc, exp))
+                         for subsets, dim, acc in picks for s, d, exp in choices[key]]
+            irr += sum(dim * max(exp) for _, dim, exp in picks if exp)
+            seen, groups = set(), None
+            for start in (subsets for subsets, _, exp in picks if not exp):
+                if start in seen:
+                    continue
+                mu, at, c = Eigenvalue.one(), start, 0
+                while not c or at != start:
+                    step = []
+                    for (i, k), s in zip(parts, at):
+                        p = pieces[i].p
+                        if s and s[-1] == p - 1:
+                            mu = mu * pieces[i].r.blocks[0][0] * Eigenvalue.make(
+                                Fraction(k - 1, 2))
+                        step.append(tuple(sorted((x + 1) % p for x in s)))
+                    at, c = tuple(step), c + 1
+                    seen.add(at)
+                if groups is None:
+                    groups = JordanData.identity(1)
+                    for i, k in parts:
+                        if pieces[i].p == 1:
+                            groups = groups.tensor(pieces[i].r.exterior(k))
+                soln += groups.pull(c).scale(mu).invariants_dim()
+        return Counts(comb(self.rank(), 3), irr // n, soln)
 
     def dual(self) -> "FormalType":
         return FormalType.make(self.regular.dual(), [e.dual() for e in self.irregular])
@@ -214,91 +271,41 @@ def _hom_counts(xs: list, ys: list) -> Counts:
 
 # -- exterior cube -------------------------------------------------------------
 
-def _cube_terms(ft: FormalType):
-    """Lambda^3 of ft as a sum over the compositions of 3 across its
-    refined pieces, one term per composition: the tensor product of the
-    pieces' exterior powers.  Yields (the product of every factor but the
-    last, or None for a single factor; the last factor; the duals of the
-    last factor's summands, or None for a single factor).  Each Lambda^k of
-    a piece, each head and the duals of each last factor are built once per
-    call."""
-    pieces = _refine(ft)
-    powers: dict = {}  # (piece index, k) -> Lambda^k of the piece, or None
-    heads: dict = {}  # the keys of the factors but the last -> their product
-    duals: dict = {}  # the key of a last factor -> the duals of its summands
-    for comp in _compositions(len(pieces), 3):
-        keys = []
-        for key in ((i, k) for i, k in enumerate(comp) if k):
-            if key not in powers:
-                powers[key] = _piece_exterior(pieces[key[0]], key[1])
-            if powers[key] is None:
-                break
-            keys.append(key)
-        else:
-            *init, last = keys
-            if tuple(init) not in heads:
-                head = None
-                for key in init:
-                    head = powers[key] if head is None else head.tensor(powers[key])
-                heads[tuple(init)] = head
-            if init and last not in duals:
-                duals[last] = [b.dual() for b in powers[last].summands()]
-            yield heads[tuple(init)], powers[last], duals[last] if init else None
-
-
-def _refine(ft: FormalType) -> list:
-    """The summands of ft, each ramified one split into single-Jordan-block
-    pieces."""
+def _cube_choices(e: ElementaryModule, k: int, n: int) -> list:
+    """The choices of k of the lines of a piece on the cover of order n, as
+    (subset, dimension, exponent): one per k-subset of the p lines of a
+    ramified piece, line l the exponent ``rotated(l)`` with pole order j
+    read as j n / p; one, ((), C(rk R, k), k phi), for a group."""
+    if e.p == 1:
+        return [((), comb(e.r.rank(), k),
+                 {j * n: a * Scalar.rational(k) for j, a in e.tail})]
+    lines = [{j * (n // e.p): a for j, a in e.rotated(l).items()} for l in range(e.p)]
     out = []
-    for e in ft.summands():
-        if e.p == 1:
-            out.append(e)
-            continue
-        for eig, size in e.r.blocks:
-            if size > 1:
-                raise OutOfScopeError(
-                    f"unsupported exterior power: ramified summand {render_elementary(e)} "
-                    "has a Jordan block of size > 1")
-            out.append(ElementaryModule.make(e.p, e.tail, JordanData.single(eig, 1)))
+    for s in combinations(range(e.p), k):
+        exp: dict = {}
+        for l in s:
+            exp = _add_exponents(exp, lines[l])
+        out.append((s, 1, exp))
     return out
 
 
-def _piece_exterior(e: ElementaryModule, k: int):
-    """Lambda^k of a single piece, k >= 1, as a FormalType (possibly zero
-    rank); None when k exceeds its rank.  A ramified El(p, phi, (lam)) is the
-    sum of the exponentials phi(zeta_p^i u), i in Z/p: an orbit of k-subsets S
-    under i -> i + 1, its stabilizer of order d, gives El(p/d, the tails
-    rotated by S summed, read in u^d, (mu)), mu = ((-1)^(k-1) lam)^(k/d), as
-    T^(p/d) wraps k/d members of S past p - 1, each a k-cycle of S."""
-    if k > e.rank():
-        return None
-    if e.p == 1:
-        tail = {j: a * Scalar.rational(k) for j, a in e.tail}
-        return FormalType.make(JordanData.zero(),
-                               [ElementaryModule.make(1, tail, e.r.exterior(k))])
-    p, ((lam, _),) = e.p, e.r.blocks
-    out = []
-    for s in combinations(range(p), k):
-        turns = [tuple(sorted((i + t) % p for i in s)) for t in range(p)]
-        if min(turns) == s:
-            d, sums = turns.count(s), {}
-            for i in s:
-                for j, a in e.rotated(i).items():
-                    sums[j] = sums[j] + a if j in sums else a
-            # drop the pole orders that cancel across S (d may not divide them)
-            psi = {j // d: a for j, a in sums.items() if not a.is_zero()}
-            mu = (lam * Eigenvalue.make(Fraction(k - 1, 2))).pow(k // d)
-            out.append(ElementaryModule.make(p // d, psi, JordanData.single(mu)))
-    return FormalType.make(JordanData.zero(), out)
-
-
-def _compositions(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(n - 1, total - first):
-            yield (first,) + rest
+def _add_exponents(x: dict, y: dict) -> dict:
+    """x + y for exponents {pole order: Scalar}, dropping the pole orders
+    that cancel.  Two nonzero coefficients with different radical parts
+    raise IrrationalSumError, as their scalar sum does.  With equal
+    denominators only the numerators add: a sum is only tested for zero or
+    added again, so it needs no canonical form."""
+    out = dict(x)
+    for j, b in y.items():
+        a = out.pop(j, None)
+        if a is not None:
+            if a.rad != b.rad:
+                raise IrrationalSumError("adding scalars with different radical parts")
+            b = (Scalar(tuple(poly_add(a.numd(), b.numd()).items()), a.den, a.rad)
+                 if a.den == b.den else a + b)
+        if not b.is_zero():
+            out[j] = b
+    return out
 
 
 # rendering / JSON ------------------------------------------------------------------

@@ -31,16 +31,21 @@ k-subset S of Z/p, with exponent the sum over S of the factors of [p]^*e.
 
 ``hom_module`` and ``exterior_cube_module`` build Hom and Lambda^3 as
 modules through ``FormalType.tensor``, for the laws that compare modules:
-the engine only counts them.
+the engine only counts them.  Lambda^3 is the sum over the compositions of
+3 across the refined pieces of the tensor products of the pieces' exterior
+powers (``_cube_terms``, ``_piece_exterior``), the route the engine took
+before it read the counts from the lines of the formal solutions, and the
+oracle for ``FormalType.exterior_cube``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from katz_forge.formal_type import FormalType, _cube_terms
+from katz_forge.elementary import ElementaryModule, render_elementary
+from katz_forge.formal_type import FormalType
 from katz_forge.jordan import JordanData
-from katz_forge.scalars import ZERO
+from katz_forge.scalars import ZERO, Scalar, Eigenvalue, OutOfScopeError
 
 
 def _factor(e, n: int, k: int) -> dict:
@@ -119,3 +124,92 @@ def exterior_cube_module(ft):
     for head, last, _ in _cube_terms(ft):
         total = total + (last if head is None else head.tensor(last))
     return total
+
+
+# -- exterior cube -------------------------------------------------------------
+
+def _cube_terms(ft: FormalType):
+    """Lambda^3 of ft as a sum over the compositions of 3 across its
+    refined pieces, one term per composition: the tensor product of the
+    pieces' exterior powers.  Yields (the product of every factor but the
+    last, or None for a single factor; the last factor; the duals of the
+    last factor's summands, or None for a single factor).  Each Lambda^k of
+    a piece, each head and the duals of each last factor are built once per
+    call."""
+    pieces = _refine(ft)
+    powers: dict = {}  # (piece index, k) -> Lambda^k of the piece, or None
+    heads: dict = {}  # the keys of the factors but the last -> their product
+    duals: dict = {}  # the key of a last factor -> the duals of its summands
+    for comp in _compositions(len(pieces), 3):
+        keys = []
+        for key in ((i, k) for i, k in enumerate(comp) if k):
+            if key not in powers:
+                powers[key] = _piece_exterior(pieces[key[0]], key[1])
+            if powers[key] is None:
+                break
+            keys.append(key)
+        else:
+            *init, last = keys
+            if tuple(init) not in heads:
+                head = None
+                for key in init:
+                    head = powers[key] if head is None else head.tensor(powers[key])
+                heads[tuple(init)] = head
+            if init and last not in duals:
+                duals[last] = [b.dual() for b in powers[last].summands()]
+            yield heads[tuple(init)], powers[last], duals[last] if init else None
+
+
+def _refine(ft: FormalType) -> list:
+    """The summands of ft, each ramified one split into single-Jordan-block
+    pieces."""
+    out = []
+    for e in ft.summands():
+        if e.p == 1:
+            out.append(e)
+            continue
+        for eig, size in e.r.blocks:
+            if size > 1:
+                raise OutOfScopeError(
+                    f"unsupported exterior power: ramified summand {render_elementary(e)} "
+                    "has a Jordan block of size > 1")
+            out.append(ElementaryModule.make(e.p, e.tail, JordanData.single(eig, 1)))
+    return out
+
+
+def _piece_exterior(e: ElementaryModule, k: int):
+    """Lambda^k of a single piece, k >= 1, as a FormalType (possibly zero
+    rank); None when k exceeds its rank.  A ramified El(p, phi, (lam)) is the
+    sum of the exponentials phi(zeta_p^i u), i in Z/p: an orbit of k-subsets S
+    under i -> i + 1, its stabilizer of order d, gives El(p/d, the tails
+    rotated by S summed, read in u^d, (mu)), mu = ((-1)^(k-1) lam)^(k/d), as
+    T^(p/d) wraps k/d members of S past p - 1, each a k-cycle of S."""
+    if k > e.rank():
+        return None
+    if e.p == 1:
+        tail = {j: a * Scalar.rational(k) for j, a in e.tail}
+        return FormalType.make(JordanData.zero(),
+                               [ElementaryModule.make(1, tail, e.r.exterior(k))])
+    p, ((lam, _),) = e.p, e.r.blocks
+    out = []
+    for s in combinations(range(p), k):
+        turns = [tuple(sorted((i + t) % p for i in s)) for t in range(p)]
+        if min(turns) == s:
+            d, sums = turns.count(s), {}
+            for i in s:
+                for j, a in e.rotated(i).items():
+                    sums[j] = sums[j] + a if j in sums else a
+            # drop the pole orders that cancel across S (d may not divide them)
+            psi = {j // d: a for j, a in sums.items() if not a.is_zero()}
+            mu = (lam * Eigenvalue.make(Fraction(k - 1, 2))).pow(k // d)
+            out.append(ElementaryModule.make(p // d, psi, JordanData.single(mu)))
+    return FormalType.make(JordanData.zero(), out)
+
+
+def _compositions(n: int, total: int):
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(n - 1, total - first):
+            yield (first,) + rest

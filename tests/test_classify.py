@@ -210,31 +210,26 @@ class TestVerifyClassification:
         assert ex["rig"] == 2  # rigid, but not a G2 connection
 
     def test_local_invariants_once_per_call(self, monkeypatch):
-        # 11 distinct types at 0 and 4 at inf give 15 End counts; the
-        # Lambda^3 rows have 3 distinct infinity types, with 33 distinct
-        # (piece, k) exterior powers and 7 distinct heads of two factors
-        # between them, each built once.  28 duals of elementary modules:
-        # 20 inside Lambda^3, where the summands of each last factor are
-        # dualized once per call and no exterior power dualizes.  A second
-        # call counts the same: no state outlives a call
-        from katz_forge import formal_type
+        # 11 distinct types at 0 and 4 at inf give 15 End counts, and the
+        # Lambda^3 rows have 3 distinct infinity types, each cube counted
+        # once.  8 duals of elementary modules, all outside Lambda^3: a
+        # cube is read from the lines of the formal solutions and builds no
+        # module, dual or tensor.  A second call counts the same: no state
+        # outlives a call
         from katz_forge.elementary import ElementaryModule
         from katz_forge.formal_type import FormalType
-        calls = dict.fromkeys(("end", "exterior_cube", "tensor", "_piece_exterior", "dual"), 0)
+        calls = dict.fromkeys(("end", "exterior_cube", "dual"), 0)
         def counted(what, fn):
             def wrapper(*args):
                 calls[what] += 1
                 return fn(*args)
             return wrapper
-        for what in ("end", "exterior_cube", "tensor"):
+        for what in ("end", "exterior_cube"):
             monkeypatch.setattr(FormalType, what, counted(what, getattr(FormalType, what)))
-        monkeypatch.setattr(formal_type, "_piece_exterior",
-                            counted("_piece_exterior", formal_type._piece_exterior))
         monkeypatch.setattr(ElementaryModule, "dual", counted("dual", ElementaryModule.dual))
         for _ in range(2):
             assert verify_classification()["ok"]
-            assert calls == {"end": 15, "exterior_cube": 3, "tensor": 7, "_piece_exterior": 33,
-                             "dual": 28}
+            assert calls == {"end": 15, "exterior_cube": 3, "dual": 8}
             calls.update(dict.fromkeys(calls, 0))
 
     def test_row_texts_parsed_once_per_call(self, monkeypatch):

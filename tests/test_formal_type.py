@@ -2,18 +2,20 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from katz_forge.scalars import Scalar, Eigenvalue, ONE, OutOfScopeError, parse_scalar
+from katz_forge.scalars import (Scalar, Eigenvalue, ONE, OutOfScopeError, parse_scalar,
+                                parse_eigenvalue)
 from katz_forge.jordan import JordanData, parse_jordan
 from katz_forge.elementary import El, ElementaryModule, render_elementary
-from katz_forge.formal_type import (FormalType, parse_formal_type,
+from katz_forge.formal_type import (FormalType, Counts, parse_formal_type,
                                     render_formal_type, formal_type_to_json,
-                                    formal_type_from_json, _piece_exterior)
+                                    formal_type_from_json)
 from katz_forge.fourier import vanishing_data, nearby_from_vanishing
 from katz_forge.engine import load_descriptor, parse_script, run_script
 from katz_forge.cli import golden_dir, golden_path
-from reference_hom import hom_module, exterior_cube_module, cover_exterior_slopes
+from reference_hom import (hom_module, exterior_cube_module, cover_exterior_slopes,
+                           _piece_exterior)
 import reference_torus
 
 J = parse_jordan
@@ -287,6 +289,67 @@ class TestExteriorCube:
         assert J("(J(3), J(3), 1)").exterior(3).invariants_dim() == 13
         assert J("(J(3), J(2), J(2))").exterior(3).invariants_dim() == 13
         assert J("(iE2, -1*iE2, -E2, 1)").exterior(3).invariants_dim() == 9
+
+
+_CUBE_COEFFS = [parse_scalar(t) for t in (
+    "a1", "-a1", "2*a1", "zeta(3)*a1", "zeta(6)^5*a1", "zeta(4)*a2", "a2", "a1+a2",
+    "3", "1/2*a1", "a1^2", "a1/a2", "b^(1/2)", "a1*b^(1/2)", "-a1*b^(1/2)", "2^(1/2)*a2",
+    "3^(1/3)")]
+_CUBE_EIGS = [parse_eigenvalue(t) for t in ("1", "-1", "l", "l^-1", "zeta(3)", "zeta(4)", "x")]
+
+
+@st.composite
+def _cube_types(draw):
+    # ranks 3..9: a regular part and unramified members with Jordan blocks,
+    # ramified members p in {2, 3, 4, 6} (now and then with a block of size
+    # 2, out of scope), one- and two-term tails over roots of unity, two
+    # symbols and radicals, mixed within one type
+    blocks = st.lists(st.tuples(st.sampled_from(_CUBE_EIGS), st.integers(1, 2)),
+                      min_size=1, max_size=2)
+    tails = st.dictionaries(st.integers(1, 5), st.sampled_from(_CUBE_COEFFS),
+                            min_size=1, max_size=2)
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        r = (blocks if p == 1 or draw(st.integers(0, 3)) == 0
+             else st.lists(st.tuples(st.sampled_from(_CUBE_EIGS), st.just(1)),
+                           min_size=1, max_size=2))
+        members.append(ElementaryModule.make(p, draw(tails), JordanData.make(draw(r))))
+    regular = JordanData.make(draw(st.lists(st.tuples(st.sampled_from(_CUBE_EIGS),
+                                                      st.integers(1, 2)), max_size=3)))
+    ft = FormalType.make(regular, members)
+    assume(3 <= ft.rank() <= 9)
+    return ft
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cube_types())
+def test_exterior_cube_matches_the_modules(ft):
+    # the counts read from the lines are those of the module built from
+    # tensors of pieces' exterior powers, or both refuse with one type
+    try:
+        cube = exterior_cube_module(ft)
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            ft.exterior_cube()
+        assert raised.type is type(exc)
+        return
+    assert ft.exterior_cube() == Counts(cube.rank(), cube.irregularity(), cube.soln_dim())
+
+
+@pytest.mark.parametrize("text,counts", [
+    # each piece's own choice first: the lines {0, 1} of the first piece
+    # cancel at pole orders 5 and 1, so no radical meets the 3 of the
+    # second piece, where a sum line by line would refuse
+    ("El(u^2, a1*b^(1/2)/u^5 + a1*b^(1/2)/u, (l)) + El(u^2, 3/u^5 + a2/u^2, (l^-1))",
+     Counts(4, 10, 0)),
+    ("El(2, a1, (1))", Counts(0, 0, 0)),
+])
+def test_exterior_cube_rows(text, counts):
+    ft = FT(text)
+    cube = exterior_cube_module(ft)
+    assert Counts(cube.rank(), cube.irregularity(), cube.soln_dim()) == counts
+    assert ft.exterior_cube() == counts
 
 
 class TestLocalData:
